@@ -101,6 +101,32 @@ def mod_inv(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+# Fixed-base exponentiation of g (HAC §14.6.3): row i of the table holds
+# g^(d * 2^(W*i)) for every W-bit digit d, so g^e is one product of table
+# entries, one per digit of e mod q. Window 6 gives ceil(224/6) = 38 rows of
+# 64 entries at 2048/224 (~0.75 MB) and 27 rows at 512/160 (~0.2 MB).
+_G_WINDOW = 6
+
+# A group builds its table on its Nth g-exponentiation, once the table would
+# have paid for itself. Build cost / saving per call against builtin pow,
+# measured on Python 3.11 (2 cores, x86-64): 2048/224 ~48-50 ms / ~3.3 ms,
+# 512/160 ~3.2-3.7 ms / ~0.24-0.28 ms, a break-even of 11-15 calls at both
+# sizes. A one-shot CLI command does at most three and never builds one.
+_G_TABLE_AFTER = 15
+
+
+def _fixed_base_table(g: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    base = g
+    for _ in range(-(-q.bit_length() // _G_WINDOW)):
+        row = [1, base]
+        for _ in range(2, 1 << _G_WINDOW):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
 def _check_parameters(p: int, q: int, g: int) -> None:
     if p < 3 or not is_probable_prime(p):
         raise CompositeModulusError(f"modulus {p} is not prime")
@@ -133,6 +159,35 @@ class SchnorrGroup:
     @property
     def generator(self) -> "GroupElement":
         return GroupElement(self.g, self)
+
+    def _pow_g(self, e: int) -> int:
+        """g^e mod p for any integer e, valid because g has order q.
+
+        The table and the call count live in the instance __dict__, outside
+        the dataclass fields, so equality, hashing and repr ignore them.
+        Under threads a lost count or a second build costs only time: the
+        finished table is published by one assignment.
+        """
+        table = self.__dict__.get("_g_table")
+        if table is None:
+            uses = self.__dict__.get("_g_uses", 0) + 1
+            self.__dict__["_g_uses"] = uses
+            if uses < _G_TABLE_AFTER:
+                return pow(self.g, e, self.p)
+            table = _fixed_base_table(self.g, self.p, self.q)
+            self.__dict__["_g_table"] = table
+        p = self.p
+        e %= self.q
+        mask = (1 << _G_WINDOW) - 1
+        result = 1
+        for row in table:
+            if not e:
+                break
+            digit = e & mask
+            if digit:
+                result = result * row[digit] % p
+            e >>= _G_WINDOW
+        return result
 
     def scalar(self, value: int) -> "Scalar":
         """Reduce an integer into Z_q."""
@@ -230,7 +285,10 @@ class GroupElement:
             e = exponent.value
         else:
             e = exponent
-        return GroupElement(pow(self.value, e, self.group.p), self.group)
+        group = self.group
+        if self.value == group.g:
+            return GroupElement(group._pow_g(e), group)
+        return GroupElement(pow(self.value, e, group.p), group)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(mod_inv(self.value, self.group.p), self.group)

@@ -10,6 +10,7 @@ values.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Union
 
 from .directed import (
@@ -47,13 +48,16 @@ def int_to_hex(value: int) -> str:
     return format(value, "x")
 
 
+# The only encoding of each integer: no prefix, sign, separator, whitespace,
+# uppercase digit or leading zero. Accepting any other spelling would make
+# every signature field malleable.
+_CANONICAL_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
+
+
 def hex_to_int(text: str) -> int:
-    if not isinstance(text, str) or not text:
-        raise SerializationError(f"expected a hex string, got {text!r}")
-    try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise SerializationError(f"invalid hex integer {text!r}") from exc
+    if not isinstance(text, str) or not _CANONICAL_HEX.fullmatch(text):
+        raise SerializationError(f"expected canonical lowercase hex, got {text!r}")
+    return int(text, 16)
 
 
 def bytes_to_hex(data: bytes) -> str:
@@ -74,6 +78,25 @@ def _field(data: dict, key: str) -> Any:
         return data[key]
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"missing field {key!r}") from exc
+
+
+def _list_field(data: dict, key: str) -> list:
+    value = _field(data, key)
+    if not isinstance(value, list):
+        raise SerializationError(f"field {key!r} must be a list")
+    return value
+
+
+def _threshold_field(data: dict) -> int:
+    threshold = _field(data, "k")
+    # bool is a subclass of int, and true must not read as threshold 1
+    if not isinstance(threshold, int) or isinstance(threshold, bool):
+        raise SerializationError("threshold k must be an integer")
+    return threshold
+
+
+def _masked_shares_field(group: SchnorrGroup, data: dict) -> tuple:
+    return tuple(_masked_share_from_dict(group, entry) for entry in _list_field(data, "shares"))
 
 
 def _parse_scalar(group: SchnorrGroup, data: dict, key: str) -> Scalar:
@@ -226,17 +249,12 @@ def threshold_signature_to_dict(sig: ThresholdSignature) -> dict:
 
 
 def threshold_signature_from_dict(group: SchnorrGroup, data: dict) -> ThresholdSignature:
-    threshold = _field(data, "k")
-    if not isinstance(threshold, int):
-        raise SerializationError("threshold k must be an integer")
     return ThresholdSignature(
         s=_parse_scalar(group, data, "s"),
         w=_parse_element(group, data, "w"),
         message=hex_to_bytes(_field(data, "m")),
-        masked_shares=tuple(
-            _masked_share_from_dict(group, entry) for entry in _field(data, "shares")
-        ),
-        threshold=threshold,
+        masked_shares=_masked_shares_field(group, data),
+        threshold=_threshold_field(data),
     )
 
 
@@ -283,7 +301,7 @@ def directory_to_dict(directory: GroupDirectory) -> dict:
 def directory_from_dict(group: SchnorrGroup, data: dict) -> GroupDirectory:
     members = tuple(
         GroupMember(u=_parse_scalar(group, entry, "u"), y=_parse_element(group, entry, "y"))
-        for entry in _field(data, "members")
+        for entry in _list_field(data, "members")
     )
     return GroupDirectory(members=members)
 
@@ -300,18 +318,13 @@ def ciphertext_to_dict(ct: ThresholdCiphertext) -> dict:
 
 
 def ciphertext_from_dict(group: SchnorrGroup, data: dict) -> ThresholdCiphertext:
-    threshold = _field(data, "k")
-    if not isinstance(threshold, int):
-        raise SerializationError("threshold k must be an integer")
     return ThresholdCiphertext(
         s=_parse_scalar(group, data, "s"),
         w=_parse_element(group, data, "w"),
         nonce=hex_to_bytes(_field(data, "nonce")),
         ciphertext=hex_to_bytes(_field(data, "c")),
-        masked_shares=tuple(
-            _masked_share_from_dict(group, entry) for entry in _field(data, "shares")
-        ),
-        threshold=threshold,
+        masked_shares=_masked_shares_field(group, data),
+        threshold=_threshold_field(data),
     )
 
 

@@ -110,6 +110,53 @@ def test_tampered_signature_fails_dverify(toy_env, capsys):
     assert "verification-failed" in capsys.readouterr().err
 
 
+def test_non_canonical_hex_signature_is_an_input_error(toy_env, capsys):
+    tmp_path, group_file, message_file = toy_env
+    sig = tmp_path / "sig.json"
+    assert run(
+        "sign", "--group", group_file, "--keystore", tmp_path,
+        "--signer", "alice", "--receiver", "bob",
+        "--message-file", message_file, "--out", sig,
+    ) == 0
+    data = json.loads(sig.read_text())
+    data["s"] = "0x" + format(int(data["s"], 16), "X")
+    sig.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"shares": 5}, {"k": True}])
+def test_malformed_threshold_documents_are_input_errors(toy_env, capsys, bad):
+    tmp_path, group_file, message_file = toy_env
+    tsig, ct = tmp_path / "tsig.json", tmp_path / "ct.json"
+    members = ("--member", "bob=1", "--member", "carol=2")
+    assert run(
+        "tsign", "--group", group_file, "--keystore", tmp_path, "--signer", "alice",
+        "--k", 1, *members, "--message-file", message_file, "--out", tsig,
+    ) == 0
+    assert run(
+        "gencrypt", "--group", group_file, "--keystore", tmp_path, "--sender", "alice",
+        "--k", 1, *members, "--message-file", message_file, "--out", ct,
+    ) == 0
+    for path in (tsig, ct):
+        path.write_text(json.dumps({**json.loads(path.read_text()), **bad}))
+    capsys.readouterr()
+    assert run(
+        "trecover", "--group", group_file, "--keystore", tmp_path,
+        "--sig", tsig, "--member", "bob", "--u", "1",
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+    assert run(
+        "gdecrypt", "--group", group_file, "--keystore", tmp_path,
+        "--ct", ct, "--sender", "alice", "--member", "bob=1",
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
 def test_seeded_commands_are_reproducible(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out_a, out_b):

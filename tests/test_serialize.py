@@ -60,6 +60,22 @@ def test_hex_convention():
         hex_to_int("")
 
 
+@pytest.mark.parametrize(
+    "text", ["0x1f", "0x1F", "1F", " 00_1f\n", "01f", "00", "+1f", "-1f", "1f\n", " 1f", "1_f", "\uff11"]
+)
+def test_non_canonical_hex_rejected(text):
+    with pytest.raises(SerializationError):
+        hex_to_int(text)
+
+
+def test_non_canonical_hex_signature_field_rejected(toy_group):
+    good = {"s": "5", "w": "10", "v": "1", "m": MSG.hex()}
+    assert directed_signature_from_dict(toy_group, good)
+    for field, text in (("s", "0x5"), ("w", "0A"), ("v", "01")):
+        with pytest.raises(SerializationError):
+            directed_signature_from_dict(toy_group, {**good, field: text})
+
+
 def test_group_round_trip(big_group):
     data = group_to_dict(big_group)
     assert all(s == s.lower() and not s.startswith("0x") for s in data.values())
@@ -134,8 +150,9 @@ def test_threshold_signature_round_trip(toy_group, toy_keys, toy_directory, fixt
     assert data["k"] == 2
     assert [entry["v"] for entry in data["shares"]] == ["9", "1", "5"]
     assert threshold_signature_from_dict(toy_group, data) == sig
-    with pytest.raises(SerializationError):
-        threshold_signature_from_dict(toy_group, {**data, "k": "2"})
+    for bad in ({"k": "2"}, {"k": True}, {"shares": 5}, {"shares": data["shares"][0]}):
+        with pytest.raises(SerializationError):
+            threshold_signature_from_dict(toy_group, {**data, **bad})
 
 
 def test_share_shadow_partial_round_trips(toy_group):
@@ -155,6 +172,8 @@ def test_directory_round_trip(toy_group, toy_directory):
     dup = {"members": [data["members"][0], data["members"][0]]}
     with pytest.raises(ValueError):
         directory_from_dict(toy_group, dup)
+    with pytest.raises(SerializationError):
+        directory_from_dict(toy_group, {"members": 5})
 
 
 def test_ciphertext_round_trip(toy_group, toy_keys, toy_directory):
@@ -163,6 +182,9 @@ def test_ciphertext_round_trip(toy_group, toy_keys, toy_directory):
     data = ciphertext_to_dict(ct)
     assert set(data) == {"s", "w", "k", "c", "nonce", "shares"}
     assert ciphertext_from_dict(toy_group, data) == ct
+    for bad in ({"k": True}, {"shares": 5}, {"shares": "9"}):
+        with pytest.raises(SerializationError):
+            ciphertext_from_dict(toy_group, {**data, **bad})
 
 
 def test_keystore_round_trip(tmp_path, toy_group):
