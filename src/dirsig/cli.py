@@ -79,50 +79,48 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass
 class CliConfig:
-    """Resolved per-invocation configuration."""
+    """Per-invocation configuration, resolved once in `main`.
+
+    `group` is set for every command but paramgen and replay-example.
+    """
 
     group: Optional[SchnorrGroup]
     keystore: Keystore
     hash_fn: HashFunction
     rng: random.Random
-    out_format: str
+
+    def read(self, from_dict, path):
+        """Parse the artifact in file `path` with a `serialize.*_from_dict`."""
+        return from_dict(self.group, serialize.load_json(path))
 
 
 def _config(args) -> CliConfig:
     group = None
-    if getattr(args, "group", None):
+    if args.group:
         group = serialize.group_from_dict(serialize.load_json(args.group))
-    hash_spec = getattr(args, "hash", "sha256")
-    if hash_spec == "sha256":
+    elif args.func not in (cmd_paramgen, cmd_replay_example):
+        raise _UsageError("--group FILE is required for this command")
+    if args.hash == "sha256":
         hash_fn: HashFunction = DEFAULT_HASH
-    elif hash_spec.startswith("fixture:") and hash_spec[len("fixture:"):]:
-        hash_fn = FixtureHash.from_file(hash_spec[len("fixture:"):])
+    elif args.hash.startswith("fixture:") and args.hash[len("fixture:"):]:
+        hash_fn = FixtureHash.from_file(args.hash[len("fixture:"):])
     else:
-        raise _UsageError(f"--hash must be sha256 or fixture:FILE, got {hash_spec!r}")
-    seed = getattr(args, "seed", None)
-    rng = random.Random(int(seed, 16)) if seed else random.SystemRandom()
+        raise _UsageError(f"--hash must be sha256 or fixture:FILE, got {args.hash!r}")
     return CliConfig(
         group=group,
-        keystore=Keystore(getattr(args, "keystore", ".")),
+        keystore=Keystore(args.keystore),
         hash_fn=hash_fn,
-        rng=rng,
-        out_format=getattr(args, "format", "json"),
+        rng=random.Random(int(args.seed, 16)) if args.seed else random.SystemRandom(),
     )
 
 
-def _require_group(cfg: CliConfig) -> SchnorrGroup:
-    if cfg.group is None:
-        raise _UsageError("--group FILE is required for this command")
-    return cfg.group
-
-
-def _emit(cfg: CliConfig, args, data: dict, *, private: bool = False) -> None:
+def _emit(args, data: dict, *, private: bool = False) -> None:
     out = getattr(args, "out", None)
     if out:
         serialize.save_json(out, data)
         if private:
             os.chmod(out, 0o600)
-    elif cfg.out_format == "hex":
+    elif args.format == "hex":
         for key, value in data.items():
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -136,10 +134,6 @@ def _fail_verification(code: str, detail: str) -> int:
     return EXIT_VERIFY
 
 
-def _read_message(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _parse_quorum_ids(group: SchnorrGroup, text: str):
     ids = []
     for chunk in text.split(","):
@@ -150,50 +144,47 @@ def _parse_quorum_ids(group: SchnorrGroup, text: str):
     return ids
 
 
-def _directory_from_args(cfg: CliConfig, group: SchnorrGroup, args) -> GroupDirectory:
-    if getattr(args, "directory", None):
-        return serialize.directory_from_dict(group, serialize.load_json(args.directory))
-    if getattr(args, "member", None):
-        members = []
-        for entry in args.member:
-            name, _, u_hex = entry.partition("=")
-            if not name or not u_hex:
-                raise _UsageError(f"--member expects NAME=UHEX, got {entry!r}")
-            members.append(
-                GroupMember(
-                    u=group.scalar(serialize.hex_to_int(u_hex)),
-                    y=cfg.keystore.load_public(group, name),
-                )
-            )
-        return GroupDirectory(members=tuple(members))
+def _named_members(cfg: CliConfig, entries, load_key) -> list:
+    """Parse NAME=UHEX arguments into (load_key(group, NAME), u) pairs."""
+    pairs = []
+    for entry in entries:
+        name, _, u_hex = entry.partition("=")
+        if not name or not u_hex:
+            raise _UsageError(f"--member expects NAME=UHEX, got {entry!r}")
+        u = cfg.group.scalar(serialize.hex_to_int(u_hex))
+        pairs.append((load_key(cfg.group, name), u))
+    return pairs
+
+
+def _directory_from_args(cfg: CliConfig, args) -> GroupDirectory:
+    if args.directory:
+        return cfg.read(serialize.directory_from_dict, args.directory)
+    if args.member:
+        members = _named_members(cfg, args.member, cfg.keystore.load_public)
+        return GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
     raise _UsageError("provide --directory FILE or --member NAME=UHEX entries")
 
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_paramgen(args) -> int:
-    cfg = _config(args)
+def cmd_paramgen(args, cfg: CliConfig) -> int:
     group = generate_group(args.p_bits, args.q_bits, cfg.rng)
-    _emit(cfg, args, serialize.group_to_dict(group))
+    _emit(args, serialize.group_to_dict(group))
     return EXIT_OK
 
 
-def cmd_keygen(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    keypair = keygen(group, cfg.rng)
+def cmd_keygen(args, cfg: CliConfig) -> int:
+    keypair = keygen(cfg.group, cfg.rng)
     cfg.keystore.save_keypair(args.name, keypair)
     print(f"wrote {cfg.keystore.keypair_path(args.name)} and {cfg.keystore.public_path(args.name)}")
     return EXIT_OK
 
 
-def cmd_sign(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    signer = cfg.keystore.load_keypair(group, args.signer)
-    receiver_pub = cfg.keystore.load_public(group, args.receiver)
-    message = _read_message(args.message_file)
-    sig, nonces = sign_directed(group, signer, receiver_pub, message, cfg.rng, cfg.hash_fn)
+def cmd_sign(args, cfg: CliConfig) -> int:
+    signer = cfg.keystore.load_keypair(cfg.group, args.signer)
+    receiver_pub = cfg.keystore.load_public(cfg.group, args.receiver)
+    message = Path(args.message_file).read_bytes()
+    sig, nonces = sign_directed(cfg.group, signer, receiver_pub, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.directed_signature_to_dict(sig))
     nonce_out = args.nonce_out or f"{args.out}.nonces"
     serialize.save_json(nonce_out, serialize.nonce_state_to_dict(nonces))
@@ -202,13 +193,11 @@ def cmd_sign(args) -> int:
     return EXIT_OK
 
 
-def cmd_dverify(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    sig = serialize.directed_signature_from_dict(group, serialize.load_json(args.sig))
-    receiver = cfg.keystore.load_keypair(group, args.receiver)
-    signer_pub = cfg.keystore.load_public(group, args.signer)
-    accept, commitment = verify_directed(group, sig, receiver, signer_pub, cfg.hash_fn)
+def cmd_dverify(args, cfg: CliConfig) -> int:
+    sig = cfg.read(serialize.directed_signature_from_dict, args.sig)
+    receiver = cfg.keystore.load_keypair(cfg.group, args.receiver)
+    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
+    accept, commitment = verify_directed(cfg.group, sig, receiver, signer_pub, cfg.hash_fn)
     if args.commitment_out:
         serialize.save_json(args.commitment_out, serialize.commitment_to_dict(commitment))
         os.chmod(args.commitment_out, 0o600)
@@ -218,91 +207,73 @@ def cmd_dverify(args) -> int:
     return EXIT_OK
 
 
-def cmd_prove_signer(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    nonces = serialize.nonce_state_from_dict(group, serialize.load_json(args.nonces))
-    third_pub = cfg.keystore.load_public(group, args.third_party)
-    proof = prove_by_signer(group, nonces, third_pub)
-    _emit(cfg, args, serialize.proof_to_dict(proof))
+def cmd_prove_signer(args, cfg: CliConfig) -> int:
+    nonces = cfg.read(serialize.nonce_state_from_dict, args.nonces)
+    third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
+    proof = prove_by_signer(cfg.group, nonces, third_pub)
+    _emit(args, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
-def cmd_prove_receiver(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    commitment = serialize.commitment_from_dict(group, serialize.load_json(args.commitment))
-    receiver = cfg.keystore.load_keypair(group, args.receiver)
-    third_pub = cfg.keystore.load_public(group, args.third_party)
-    proof = prove_by_receiver(group, commitment, receiver, third_pub, cfg.rng)
-    _emit(cfg, args, serialize.proof_to_dict(proof))
+def cmd_prove_receiver(args, cfg: CliConfig) -> int:
+    commitment = cfg.read(serialize.commitment_from_dict, args.commitment)
+    receiver = cfg.keystore.load_keypair(cfg.group, args.receiver)
+    third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
+    proof = prove_by_receiver(cfg.group, commitment, receiver, third_pub, cfg.rng)
+    _emit(args, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
-def cmd_cverify(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    sig = serialize.directed_signature_from_dict(group, serialize.load_json(args.sig))
-    proof = serialize.proof_from_dict(group, serialize.load_json(args.proof))
-    third = cfg.keystore.load_keypair(group, args.third_party)
-    signer_pub = cfg.keystore.load_public(group, args.signer)
-    if not verify_as_third_party(group, sig, proof, third, signer_pub, cfg.hash_fn):
+def cmd_cverify(args, cfg: CliConfig) -> int:
+    sig = cfg.read(serialize.directed_signature_from_dict, args.sig)
+    proof = cfg.read(serialize.proof_from_dict, args.proof)
+    third = cfg.keystore.load_keypair(cfg.group, args.third_party)
+    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
+    if not verify_as_third_party(cfg.group, sig, proof, third, signer_pub, cfg.hash_fn):
         return _fail_verification("verification-failed", "third-party verification rejected")
     print("accept")
     return EXIT_OK
 
 
-def cmd_tsign(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    signer = cfg.keystore.load_keypair(group, args.signer)
-    directory = _directory_from_args(cfg, group, args)
-    message = _read_message(args.message_file)
-    sig = sign_for_group(group, signer, directory, args.k, message, cfg.rng, cfg.hash_fn)
+def cmd_tsign(args, cfg: CliConfig) -> int:
+    signer = cfg.keystore.load_keypair(cfg.group, args.signer)
+    directory = _directory_from_args(cfg, args)
+    message = Path(args.message_file).read_bytes()
+    sig = sign_for_group(cfg.group, signer, directory, args.k, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.threshold_signature_to_dict(sig))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_trecover(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    sig = serialize.threshold_signature_from_dict(group, serialize.load_json(args.sig))
-    member = cfg.keystore.load_keypair(group, args.member)
-    u = group.scalar(serialize.hex_to_int(args.u))
-    share = recover_share(group, sig, member, u)
-    _emit(cfg, args, serialize.share_to_dict(share), private=True)
+def cmd_trecover(args, cfg: CliConfig) -> int:
+    sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
+    member = cfg.keystore.load_keypair(cfg.group, args.member)
+    u = cfg.group.scalar(serialize.hex_to_int(args.u))
+    share = recover_share(cfg.group, sig, member, u)
+    _emit(args, serialize.share_to_dict(share), private=True)
     return EXIT_OK
 
 
-def cmd_tshadow(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    share = serialize.share_from_dict(group, serialize.load_json(args.share))
-    quorum_ids = _parse_quorum_ids(group, args.quorum)
+def cmd_tshadow(args, cfg: CliConfig) -> int:
+    share = cfg.read(serialize.share_from_dict, args.share)
+    quorum_ids = _parse_quorum_ids(cfg.group, args.quorum)
     shadow = modify_shadow(share, quorum_ids)
-    _emit(cfg, args, serialize.shadow_to_dict(shadow), private=True)
+    _emit(args, serialize.shadow_to_dict(shadow), private=True)
     return EXIT_OK
 
 
-def cmd_tpartial(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    shadow = serialize.shadow_from_dict(group, serialize.load_json(args.shadow))
-    partial = partial_result(group, shadow)
-    _emit(cfg, args, serialize.partial_to_dict(partial))
+def cmd_tpartial(args, cfg: CliConfig) -> int:
+    shadow = cfg.read(serialize.shadow_from_dict, args.shadow)
+    partial = partial_result(cfg.group, shadow)
+    _emit(args, serialize.partial_to_dict(partial))
     return EXIT_OK
 
 
-def cmd_tcombine(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    sig = serialize.threshold_signature_from_dict(group, serialize.load_json(args.sig))
-    partials = [
-        serialize.partial_from_dict(group, serialize.load_json(path)) for path in args.partials
-    ]
-    signer_pub = cfg.keystore.load_public(group, args.signer)
-    accept = combine_and_verify(group, sig, partials, signer_pub, cfg.hash_fn)
+def cmd_tcombine(args, cfg: CliConfig) -> int:
+    sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
+    partials = [cfg.read(serialize.partial_from_dict, path) for path in args.partials]
+    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
+    accept = combine_and_verify(cfg.group, sig, partials, signer_pub, cfg.hash_fn)
     combined = partials[0].value
     for partial in partials[1:]:
         combined = combined * partial.value
@@ -313,31 +284,21 @@ def cmd_tcombine(args) -> int:
     return EXIT_OK
 
 
-def cmd_gencrypt(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    sender = cfg.keystore.load_keypair(group, args.sender)
-    directory = _directory_from_args(cfg, group, args)
-    message = _read_message(args.message_file)
-    ct = encrypt_to_group(group, sender, directory, args.k, message, cfg.rng, cfg.hash_fn)
+def cmd_gencrypt(args, cfg: CliConfig) -> int:
+    sender = cfg.keystore.load_keypair(cfg.group, args.sender)
+    directory = _directory_from_args(cfg, args)
+    message = Path(args.message_file).read_bytes()
+    ct = encrypt_to_group(cfg.group, sender, directory, args.k, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.ciphertext_to_dict(ct))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_gdecrypt(args) -> int:
-    cfg = _config(args)
-    group = _require_group(cfg)
-    ct = serialize.ciphertext_from_dict(group, serialize.load_json(args.ct))
-    sender_pub = cfg.keystore.load_public(group, args.sender)
-    quorum = []
-    for entry in args.member:
-        name, _, u_hex = entry.partition("=")
-        if not name or not u_hex:
-            raise _UsageError(f"--member expects NAME=UHEX, got {entry!r}")
-        member = cfg.keystore.load_keypair(group, name)
-        quorum.append((member, group.scalar(serialize.hex_to_int(u_hex))))
-    message = decrypt_with_quorum(group, ct, quorum, sender_pub, cfg.hash_fn)
+def cmd_gdecrypt(args, cfg: CliConfig) -> int:
+    ct = cfg.read(serialize.ciphertext_from_dict, args.ct)
+    sender_pub = cfg.keystore.load_public(cfg.group, args.sender)
+    quorum = _named_members(cfg, args.member, cfg.keystore.load_keypair)
+    message = decrypt_with_quorum(cfg.group, ct, quorum, sender_pub, cfg.hash_fn)
     if args.out:
         Path(args.out).write_bytes(message)
         print(f"wrote {args.out}")
@@ -346,13 +307,13 @@ def cmd_gdecrypt(args) -> int:
     return EXIT_OK
 
 
-def cmd_replay_example(args) -> int:
+def cmd_replay_example(args, cfg: CliConfig) -> int:
     """Deterministic walkthrough of the built-in toy example.
 
     Tiny textbook parameters (p=23, q=11, g=3), fixed keys and nonces, and
     a table-driven hash make every intermediate value reproducible.
     """
-    del args
+    del args, cfg
     group = SchnorrGroup(23, 11, 3)
     signer = KeyPair.from_private(group, 4)
     receiver = KeyPair.from_private(group, 7)
@@ -414,106 +375,90 @@ def _build_parser() -> _ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("paramgen", parents=[common], help="generate group parameters")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    def dealing_command(name, func, role, help_text):
+        """A command that deals masked shares to a directory: tsign, gencrypt."""
+        p = command(name, func, help_text)
+        p.add_argument(role, required=True, metavar="NAME")
+        p.add_argument("--directory", metavar="FILE")
+        p.add_argument("--member", action="append", metavar="NAME=UHEX")
+        p.add_argument("--k", required=True, type=int)
+        p.add_argument("--message-file", required=True, metavar="FILE")
+        p.add_argument("--out", required=True, metavar="FILE")
+
+    p = command("paramgen", cmd_paramgen, "generate group parameters")
     p.add_argument("--p-bits", type=int, default=512)
     p.add_argument("--q-bits", type=int, default=160)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_paramgen)
 
-    p = sub.add_parser("keygen", parents=[common], help="generate a named key pair")
+    p = command("keygen", cmd_keygen, "generate a named key pair")
     p.add_argument("name")
-    p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("sign", parents=[common], help="directed-sign a message")
+    p = command("sign", cmd_sign, "directed-sign a message")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--message-file", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--nonce-out", metavar="FILE", help="default OUT.nonces")
-    p.set_defaults(func=cmd_sign)
 
-    p = sub.add_parser("dverify", parents=[common], help="verify as the designated receiver")
+    p = command("dverify", cmd_dverify, "verify as the designated receiver")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--commitment-out", metavar="FILE")
-    p.set_defaults(func=cmd_dverify)
 
-    p = sub.add_parser("prove-signer", parents=[common], help="signer proof for a third party")
+    p = command("prove-signer", cmd_prove_signer, "signer proof for a third party")
     p.add_argument("--nonces", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_prove_signer)
 
-    p = sub.add_parser(
-        "prove-receiver", parents=[common], help="receiver proof for a third party"
-    )
+    p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party")
     p.add_argument("--commitment", required=True, metavar="FILE")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--third-party", required=True, metavar="NAME")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_prove_receiver)
 
-    p = sub.add_parser("cverify", parents=[common], help="verify as a third party")
+    p = command("cverify", cmd_cverify, "verify as a third party")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--proof", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
     p.add_argument("--signer", required=True, metavar="NAME")
-    p.set_defaults(func=cmd_cverify)
 
-    p = sub.add_parser("tsign", parents=[common], help="sign for k-of-n group verification")
-    p.add_argument("--signer", required=True, metavar="NAME")
-    p.add_argument("--directory", metavar="FILE")
-    p.add_argument("--member", action="append", metavar="NAME=UHEX")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--message-file", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_tsign)
+    dealing_command("tsign", cmd_tsign, "--signer", "sign for k-of-n group verification")
 
-    p = sub.add_parser("trecover", parents=[common], help="recover one member's share")
+    p = command("trecover", cmd_trecover, "recover one member's share")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--member", required=True, metavar="NAME")
     p.add_argument("--u", required=True, metavar="HEX")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_trecover)
 
-    p = sub.add_parser("tshadow", parents=[common], help="scale a share for a quorum")
+    p = command("tshadow", cmd_tshadow, "scale a share for a quorum")
     p.add_argument("--share", required=True, metavar="FILE")
     p.add_argument("--quorum", required=True, metavar="HEX,HEX,...")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_tshadow)
 
-    p = sub.add_parser("tpartial", parents=[common], help="lift a shadow to a partial result")
+    p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result")
     p.add_argument("--shadow", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_tpartial)
 
-    p = sub.add_parser("tcombine", parents=[common], help="combine partials and verify")
+    p = command("tcombine", cmd_tcombine, "combine partials and verify")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--partials", required=True, nargs="+", metavar="FILE")
-    p.set_defaults(func=cmd_tcombine)
 
-    p = sub.add_parser("gencrypt", parents=[common], help="encrypt to a k-of-n group")
-    p.add_argument("--sender", required=True, metavar="NAME")
-    p.add_argument("--directory", metavar="FILE")
-    p.add_argument("--member", action="append", metavar="NAME=UHEX")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--message-file", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_gencrypt)
+    dealing_command("gencrypt", cmd_gencrypt, "--sender", "encrypt to a k-of-n group")
 
-    p = sub.add_parser("gdecrypt", parents=[common], help="decrypt with a quorum of members")
+    p = command("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members")
     p.add_argument("--ct", required=True, metavar="FILE")
     p.add_argument("--sender", required=True, metavar="NAME")
     p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_gdecrypt)
 
-    p = sub.add_parser(
-        "replay-example", parents=[common], help="print the deterministic toy walkthrough"
-    )
-    p.set_defaults(func=cmd_replay_example)
+    command("replay-example", cmd_replay_example, "print the deterministic toy walkthrough")
 
     return parser
 
@@ -548,7 +493,7 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_help(sys.stderr)
             return EXIT_INPUT
-        return args.func(args)
+        return args.func(args, _config(args))
     except Exception as exc:  # mapped to the documented exit codes
         for klass, code, slug in _ERROR_CODES:
             if isinstance(exc, klass):

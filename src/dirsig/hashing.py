@@ -9,9 +9,16 @@ protocol code.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Mapping, Tuple
 
+from .canonical import (
+    decimal_to_int,
+    fields,
+    hex_to_bytes,
+    hex_to_int,
+    list_field,
+    load_json,
+)
 from .group import GroupElement, Scalar
 
 
@@ -81,14 +88,14 @@ class FixtureHash(HashFunction):
     def from_file(cls, path, *, error_on_miss: bool = True) -> "FixtureHash":
         """Load a table from JSON: {"entries": [{"element", "message", "scalar"}]}.
 
-        Element and message are hex strings, the scalar is decimal.
+        Element and message are canonical lowercase hex, the scalar is
+        canonical decimal; any other document raises SerializationError.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        (entries,) = fields(load_json(path), ("entries",))
         table = {}
-        for entry in data["entries"]:
-            key = (int(entry["element"], 16), bytes.fromhex(entry["message"]))
-            table[key] = int(entry["scalar"], 10)
+        for entry in list_field("entries", entries):
+            element, message, scalar = fields(entry, ("element", "message", "scalar"))
+            table[(hex_to_int(element), hex_to_bytes(message))] = decimal_to_int(scalar)
         return cls(table, error_on_miss=error_on_miss)
 
 

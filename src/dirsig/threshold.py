@@ -166,6 +166,9 @@ def recover_share(
 ) -> Share:
     """Unmask the member's own share: f(u) = v_u * w^x mod p.
 
+    Only `sig.w` and `sig.masked_shares` are read, so a group ciphertext
+    (`ThresholdCiphertext`) is unmasked the same way.
+
     w^x cancels exactly the y^k2 blinding of the key the share was masked
     under. The result is reduced into Z_q; honest values already lie below
     q, while a wrong key or tampered share yields an arbitrary residue

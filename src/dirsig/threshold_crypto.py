@@ -18,7 +18,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
 from .hashing import DEFAULT_HASH, HashFunction
-from .shamir import SharingPolynomial, _check_ids
+from .shamir import SharingPolynomial, ThresholdRangeError, _check_ids
 from .threshold import (
     GroupDirectory,
     MaskedShare,
@@ -27,7 +27,6 @@ from .threshold import (
     modify_shadow,
     partial_result,
     recover_share,
-    ThresholdSignature,
 )
 
 _NONCE_BYTES = 12  # ChaCha20-Poly1305 (RFC 8439)
@@ -60,7 +59,7 @@ class ThresholdCiphertext:
         if not self.ciphertext:
             raise ValueError("ciphertext must be nonempty")
         if not 1 <= self.threshold <= len(self.masked_shares):
-            raise ValueError(
+            raise ThresholdRangeError(
                 f"threshold {self.threshold} outside [1, {len(self.masked_shares)}]"
             )
 
@@ -130,16 +129,9 @@ def decrypt_with_quorum(
     _check_ids(quorum_ids)
 
     # the member-side steps reuse the threshold-verification machinery
-    as_signature = ThresholdSignature(
-        s=ct.s,
-        w=ct.w,
-        message=ct.ciphertext,
-        masked_shares=ct.masked_shares,
-        threshold=ct.threshold,
-    )
     partials = []
     for member, u in quorum:
-        share = recover_share(group, as_signature, member, u)
+        share = recover_share(group, ct, member, u)
         shadow = modify_shadow(share, quorum_ids)
         partials.append(partial_result(group, shadow))
 

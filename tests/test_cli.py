@@ -129,6 +129,76 @@ def test_non_canonical_hex_signature_is_an_input_error(toy_env, capsys):
     assert "parse-error" in capsys.readouterr().err
 
 
+def test_spaced_uppercase_message_is_an_input_error(toy_env, capsys):
+    tmp_path, group_file, message_file = toy_env
+    sig = tmp_path / "sig.json"
+    assert run(
+        "sign", "--group", group_file, "--keystore", tmp_path,
+        "--signer", "alice", "--receiver", "bob",
+        "--message-file", message_file, "--out", sig,
+    ) == 0
+    data = json.loads(sig.read_text())
+    data["m"] = " ".join(format(byte, "02X") for byte in MSG)
+    sig.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"s": ' + "1" * 5000 + "}"],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_unparseable_json_is_a_parse_error(toy_env, capsys, text):
+    tmp_path, group_file, _ = toy_env
+    sig = tmp_path / "sig.json"
+    sig.write_text(text)
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{}, {"entries": 5}, [1], {"entries": [{"element": " 0x0C", "message": "", "scalar": "1"}]}],
+    ids=["empty", "non-list", "non-object", "non-canonical"],
+)
+def test_malformed_fixture_file_is_a_parse_error(toy_env, tmp_path, capsys, document):
+    _, group_file, _ = toy_env
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(document))
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": MSG.hex()}))
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+        "--hash", f"fixture:{fixture}",
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+def test_ciphertext_threshold_out_of_range_is_reported_as_such(toy_env, tmp_path, capsys):
+    _, group_file, message_file = toy_env
+    ct = tmp_path / "ct.json"
+    assert run(
+        "gencrypt", "--group", group_file, "--keystore", tmp_path, "--sender", "alice",
+        "--k", 1, "--member", "bob=1", "--message-file", message_file, "--out", ct,
+    ) == 0
+    ct.write_text(json.dumps({**json.loads(ct.read_text()), "k": 0}))
+    capsys.readouterr()
+    assert run(
+        "gdecrypt", "--group", group_file, "--keystore", tmp_path,
+        "--ct", ct, "--sender", "alice", "--member", "bob=1",
+    ) == 3
+    assert "threshold-range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [{"shares": 5}, {"k": True}])
 def test_malformed_threshold_documents_are_input_errors(toy_env, capsys, bad):
     tmp_path, group_file, message_file = toy_env
@@ -315,6 +385,13 @@ def test_input_error_paths(toy_env, tmp_path, capsys):
 
     assert run("tsign", "--k", "1") == 3  # missing required flags
     assert "bad-arguments" in capsys.readouterr().err
+
+
+def test_group_file_is_required(toy_env, capsys):
+    tmp_path, _, _ = toy_env
+    assert run("keygen", "erin", "--keystore", tmp_path) == 3
+    assert "--group FILE is required" in capsys.readouterr().err
+    assert run("replay-example") == 0
 
 
 def test_terse_hex_output_format(toy_env, tmp_path, capsys):

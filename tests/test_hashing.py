@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dirsig.hashing import DEFAULT_HASH, FixtureHash, FixtureMissError, Sha256Hash, canonical_encode
+from dirsig.serialize import SerializationError
 
 from conftest import MSG
 
@@ -36,6 +37,35 @@ def test_fixture_file_round_trip(tmp_path, toy_group):
     )
     loaded = FixtureHash.from_file(path)
     assert loaded.hash_to_scalar(toy_group.element(0x12), MSG).value == 10
+
+
+_ENTRY = {"element": "12", "message": MSG.hex(), "scalar": "10"}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {},
+        {"entries": 5},
+        [1],
+        {"entries": [{**_ENTRY, "element": " 0x0C"}]},
+        {"entries": [{**_ENTRY, "element": "C"}]},
+        {"entries": [{**_ENTRY, "message": MSG.hex().upper()}]},
+        {"entries": [{**_ENTRY, "message": "6d 65"}]},
+        {"entries": [{**_ENTRY, "scalar": "010"}]},
+        {"entries": [{**_ENTRY, "scalar": " 10"}]},
+        {"entries": [{**_ENTRY, "scalar": 10}]},
+        {"entries": [{**_ENTRY, "scalar": "1" * 5000}]},
+        {"entries": [{"element": "12", "message": MSG.hex()}]},
+        {"entries": [{**_ENTRY, "extra": "1"}]},
+        {"entries": ["12"]},
+    ],
+)
+def test_fixture_file_accepts_only_the_canonical_table(tmp_path, document):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SerializationError):
+        FixtureHash.from_file(path)
 
 
 def test_production_outputs_below_q(big_group):

@@ -22,9 +22,12 @@ from dirsig.serialize import (
     directory_to_dict,
     group_from_dict,
     group_to_dict,
+    bytes_to_hex,
+    hex_to_bytes,
     hex_to_int,
     int_to_hex,
     keypair_from_dict,
+    load_json,
     keypair_to_dict,
     nonce_state_from_dict,
     nonce_state_to_dict,
@@ -74,6 +77,68 @@ def test_non_canonical_hex_signature_field_rejected(toy_group):
     for field, text in (("s", "0x5"), ("w", "0A"), ("v", "01")):
         with pytest.raises(SerializationError):
             directed_signature_from_dict(toy_group, {**good, field: text})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["6D", "6d 65", "6d65 ", " 6d65", "6d65\n", "6", "6d6", "0x6d", "6g", "\uff16\uff14", 65],
+)
+def test_non_canonical_bytes_rejected(toy_group, text):
+    with pytest.raises(SerializationError):
+        hex_to_bytes(text)
+    good = {"s": "5", "w": "10", "v": "1", "m": MSG.hex()}
+    with pytest.raises(SerializationError):
+        directed_signature_from_dict(toy_group, {**good, "m": text})
+
+
+def test_canonical_bytes_round_trip():
+    for data in (b"", b"\x00", b"\x00\xff", MSG):
+        assert hex_to_bytes(bytes_to_hex(data)) == data
+    assert bytes_to_hex(b"\xab") == "ab"
+
+
+def test_documents_carry_exactly_their_fields(toy_group):
+    good = {"s": "5", "w": "10", "v": "1", "m": MSG.hex()}
+    for bad in ({**good, "extra": "1"}, {**good, "M": good["m"]}, [good], "s"):
+        with pytest.raises(SerializationError):
+            directed_signature_from_dict(toy_group, bad)
+    with pytest.raises(SerializationError):
+        proof_from_dict(toy_group, {"v_c": "9", "w": "4"})
+    with pytest.raises(SerializationError):
+        group_from_dict({**group_to_dict(toy_group), "h": "2"})
+    with pytest.raises(SerializationError):
+        keypair_from_dict(toy_group, {"x": "4", "y": "c", "note": ""})
+
+
+def test_out_of_range_masked_share_is_malformed(toy_group):
+    data = {"s": "5", "w": "10", "m": MSG.hex(), "k": 1, "shares": [{"u": "1", "v": "16"}]}
+    assert threshold_signature_from_dict(toy_group, data).masked_shares[0].v == 22  # p - 1
+    for bad in ({"u": "1", "v": "17"}, {"u": "b", "v": "1"}):  # v = p, u = q
+        with pytest.raises(MalformedSignatureError):
+            threshold_signature_from_dict(toy_group, {**data, "shares": [bad]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # deeper than the parser can recurse
+        '{"s": ' + "1" * 5000 + "}",  # past the interpreter's integer-digit limit
+        "[]",
+    ],
+    ids=["deep-nesting", "long-integer", "non-object"],
+)
+def test_load_json_failures_are_serialization_errors(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(SerializationError):
+        load_json(path)
+
+
+def test_load_json_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"m": "\xff"}')
+    with pytest.raises(SerializationError):
+        load_json(path)
 
 
 def test_group_round_trip(big_group):

@@ -7,6 +7,7 @@ import pytest
 
 from dirsig.group import keygen
 from dirsig.hashing import Sha256Hash
+from dirsig.shamir import ThresholdRangeError
 from dirsig.threshold import GroupDirectory, GroupMember, MaskedShare, QuorumSizeError
 from dirsig.threshold_crypto import (
     DecryptionAuthenticationError,
@@ -152,6 +153,19 @@ def test_empty_ciphertext_rejected(toy_group):
         ThresholdCiphertext(
             s=ct.s, w=ct.w, nonce=ct.nonce, ciphertext=b"",
             masked_shares=ct.masked_shares, threshold=ct.threshold,
+        )
+
+
+@pytest.mark.parametrize("threshold", [0, 3])
+def test_ciphertext_threshold_out_of_range(toy_group, threshold):
+    """Same error as a threshold signature, so the CLI says threshold-range."""
+    rng = random.Random(137)
+    sender, members, directory = _setup(toy_group, rng, 2)
+    ct = encrypt_to_group(toy_group, sender, directory, 2, PLAINTEXT, rng)
+    with pytest.raises(ThresholdRangeError):
+        ThresholdCiphertext(
+            s=ct.s, w=ct.w, nonce=ct.nonce, ciphertext=ct.ciphertext,
+            masked_shares=ct.masked_shares, threshold=threshold,
         )
 
 
