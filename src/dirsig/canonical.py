@@ -25,9 +25,15 @@ _CANONICAL_BYTES = re.compile(r"(?:[0-9a-f]{2})*")
 _CANONICAL_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
+def _describe(value) -> str:
+    """Type and length of an untrusted value, never the value: it may be huge or secret."""
+    sized = isinstance(value, (str, list, dict))
+    return type(value).__name__ + (f" of length {len(value)}" if sized else "")
+
+
 def _canonical(pattern: re.Pattern, text, what: str) -> str:
     if not isinstance(text, str) or not pattern.fullmatch(text):
-        raise SerializationError(f"expected canonical {what}, got {text!r}")
+        raise SerializationError(f"expected canonical {what}, got {_describe(text)}")
     return text
 
 
@@ -60,8 +66,8 @@ def hex_to_bytes(text: str) -> bytes:
 def fields(data, keys: tuple) -> list:
     """The values of `keys` in a JSON object that holds exactly those keys."""
     if not isinstance(data, dict) or data.keys() != set(keys):
-        found = sorted(data) if isinstance(data, dict) else type(data).__name__
-        raise SerializationError(f"expected exactly the fields {sorted(keys)}, got {found}")
+        got = _describe(data)
+        raise SerializationError(f"expected exactly the fields {sorted(keys)}, got {got}")
     return [data[key] for key in keys]
 
 

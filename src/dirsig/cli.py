@@ -33,6 +33,7 @@ from .group import (
     KeyPair,
     NonInvertibleError,
     NotInSubgroupError,
+    Scalar,
     SchnorrGroup,
     generate_group,
     keygen,
@@ -47,6 +48,7 @@ from .threshold import (
     MemberNotFoundError,
     QuorumMembershipError,
     QuorumSizeError,
+    _combine,
     combine_and_verify,
     modify_shadow,
     partial_result,
@@ -134,14 +136,12 @@ def _fail_verification(code: str, detail: str) -> int:
     return EXIT_VERIFY
 
 
-def _parse_quorum_ids(group: SchnorrGroup, text: str):
-    ids = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            raise _UsageError("empty identity in quorum list")
-        ids.append(group.scalar(serialize.hex_to_int(chunk)))
-    return ids
+def _identity(group: SchnorrGroup, text: str) -> Scalar:
+    """An identity argument (`--u`, `--quorum`, NAME=UHEX): canonical hex below q."""
+    u = serialize.hex_to_int(text)
+    if u >= group.q:
+        raise SerializationError("identity is not reduced mod q")
+    return group.scalar(u)
 
 
 def _named_members(cfg: CliConfig, entries, load_key) -> list:
@@ -151,8 +151,7 @@ def _named_members(cfg: CliConfig, entries, load_key) -> list:
         name, _, u_hex = entry.partition("=")
         if not name or not u_hex:
             raise _UsageError(f"--member expects NAME=UHEX, got {entry!r}")
-        u = cfg.group.scalar(serialize.hex_to_int(u_hex))
-        pairs.append((load_key(cfg.group, name), u))
+        pairs.append((load_key(cfg.group, name), _identity(cfg.group, u_hex)))
     return pairs
 
 
@@ -248,16 +247,14 @@ def cmd_tsign(args, cfg: CliConfig) -> int:
 def cmd_trecover(args, cfg: CliConfig) -> int:
     sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
     member = cfg.keystore.load_keypair(cfg.group, args.member)
-    u = cfg.group.scalar(serialize.hex_to_int(args.u))
-    share = recover_share(cfg.group, sig, member, u)
+    share = recover_share(cfg.group, sig, member, _identity(cfg.group, args.u))
     _emit(args, serialize.share_to_dict(share), private=True)
     return EXIT_OK
 
 
 def cmd_tshadow(args, cfg: CliConfig) -> int:
     share = cfg.read(serialize.share_from_dict, args.share)
-    quorum_ids = _parse_quorum_ids(cfg.group, args.quorum)
-    shadow = modify_shadow(share, quorum_ids)
+    shadow = modify_shadow(share, [_identity(cfg.group, u) for u in args.quorum.split(",")])
     _emit(args, serialize.shadow_to_dict(shadow), private=True)
     return EXIT_OK
 
@@ -274,10 +271,7 @@ def cmd_tcombine(args, cfg: CliConfig) -> int:
     partials = [cfg.read(serialize.partial_from_dict, path) for path in args.partials]
     signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
     accept = combine_and_verify(cfg.group, sig, partials, signer_pub, cfg.hash_fn)
-    combined = partials[0].value
-    for partial in partials[1:]:
-        combined = combined * partial.value
-    print(f"R={serialize.int_to_hex(combined.value)}")
+    print(f"R={serialize.int_to_hex(_combine(partials, sig.threshold).value)}")
     if not accept:
         return _fail_verification("verification-failed", "threshold verification rejected")
     print("accept")

@@ -12,8 +12,23 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
+
+
+def respond(
+    k1: Scalar, signer: KeyPair, commitment: GroupElement, m: bytes, h: HashFunction
+) -> Scalar:
+    """s = k1 + x*h(g^k1, m), the response of every signer here; m is the signed bytes."""
+    return k1 + signer.x * h.hash_to_scalar(commitment, m)
+
+
+def check_response(
+    group: SchnorrGroup, s: Scalar, r: GroupElement, y: GroupElement, m: bytes, h: HashFunction
+) -> Tuple[bool, Scalar]:
+    """Accept iff g^s = R * y^h(R, m) for a rebuilt commitment R = `r`; also return h(R, m)."""
+    r_hash = h.hash_to_scalar(r, m)
+    return group.generator ** s == r * y ** r_hash, r_hash
 
 
 @dataclass(frozen=True)
@@ -77,23 +92,12 @@ def sign_directed(
     *,
     nonces: Optional[Tuple[int, int]] = None,
 ) -> Tuple[DirectedSignature, SignerNonceState]:
-    """Produce a signature on `message` directed at `receiver_pub`.
-
-    Fresh nonces are drawn from [1, q-1]: k2 = 0 would set w = 1 and let
-    anyone unmask the commitment, voiding the designation property (and
-    k1 = 0 would fix the commitment at the identity). Injecting `nonces`
-    bypasses that guard for vector replay.
-    """
-    if nonces is not None:
-        k1, k2 = (group.scalar(n) for n in nonces)
-    else:
-        k1 = group.random_scalar(rng, nonzero=True)
-        k2 = group.random_scalar(rng, nonzero=True)
+    """Sign `message` for `receiver_pub`; `nonces` injects fixed (k1, k2) for vector replay."""
+    k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
     commitment = group.generator ** k1
     w = group.generator ** -k2
     v = commitment * receiver_pub ** k2
-    r_hash = h.hash_to_scalar(commitment, message)
-    s = k1 + signer.x * r_hash
+    s = respond(k1, signer, commitment, message, h)
     sig = DirectedSignature(s=s, w=w, v=v, message=message)
     return sig, SignerNonceState(k1=k1, k2=k2, signature=sig)
 
@@ -113,8 +117,7 @@ def verify_directed(
     receiver can later prove validity to a third party.
     """
     r_elem = sig.v * sig.w ** receiver.x
-    r_hash = h.hash_to_scalar(r_elem, sig.message)
-    accept = group.generator ** sig.s == r_elem * signer_pub ** r_hash
+    accept, r_hash = check_response(group, sig.s, r_elem, signer_pub, sig.message, h)
     return accept, RecoveredCommitment(r_elem=r_elem, r_hash=r_hash)
 
 
@@ -147,7 +150,7 @@ def prove_by_receiver(
     v_c = R * y_c^K.
     """
     del receiver  # prover role only; R is already unmasked
-    k = group.scalar(nonce) if nonce is not None else group.random_scalar(rng, nonzero=True)
+    k = _nonce(group, rng, nonce)
     w_c = group.generator ** -k
     v_c = commitment.r_elem * third_party_pub ** k
     return ReceiverProof(w_c=w_c, v_c=v_c)

@@ -312,6 +312,14 @@ class KeyPair:
         return cls(x=xs, y=group.generator ** xs)
 
 
+def _nonce(group: SchnorrGroup, rng: Optional[random.Random], injected: Optional[int]) -> Scalar:
+    """A one-time nonce: fresh from [1, q-1], or `injected` reduced mod q to replay vectors.
+
+    Never zero when fresh: k1 = 0 (R = g^k1 = 1) or k2 = 0 (w = 1) lets anyone learn R.
+    """
+    return group.random_scalar(rng, nonzero=True) if injected is None else group.scalar(injected)
+
+
 def keygen(group: SchnorrGroup, rng: Optional[random.Random] = None) -> KeyPair:
     """Draw a key pair with x uniform in [1, q-1].
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 
 
@@ -36,7 +36,7 @@ def schnorr_sign(
     never persisted or reused; `nonce` injection exists solely to replay
     test vectors.
     """
-    k = group.scalar(nonce) if nonce is not None else group.random_scalar(rng, nonzero=True)
+    k = _nonce(group, rng, nonce)
     r = h.hash_to_scalar(group.generator ** k, message)
     s = k - keypair.x * r
     return SchnorrSignature(r=r, s=s)

@@ -115,7 +115,7 @@ def _decode_field(group: SchnorrGroup, key: str, kind, value):
     try:
         return group.element(number)
     except ValueError as exc:  # NotInSubgroupError or outside [1, p-1]
-        raise MalformedSignatureError(f"field {key!r}: {exc}") from exc
+        raise MalformedSignatureError(f"field {key!r} is not a subgroup element") from exc
 
 
 def _codec(table):

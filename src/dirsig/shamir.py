@@ -71,6 +71,11 @@ def _check_ids(ids: Sequence[Scalar]) -> None:
         raise ShareIdError("identities must be distinct")
 
 
+def _check_threshold(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ThresholdRangeError(f"threshold {k} outside [1, {n}]")
+
+
 def _coerce_polynomial(
     secret: Scalar,
     k: int,
@@ -101,8 +106,7 @@ def split(
     must already encode the secret and threshold.
     """
     _check_ids(ids)
-    if not 1 <= k <= len(ids):
-        raise ThresholdRangeError(f"threshold {k} outside [1, {len(ids)}]")
+    _check_threshold(k, len(ids))
     poly = _coerce_polynomial(secret, k, polynomial, rng)
     return [Share(u=u, v=poly.evaluate(u)) for u in ids]
 

@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
+from .directed import check_response, respond
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import (
     Share,
     SharingPolynomial,
-    ThresholdRangeError,
     _check_ids,
+    _check_threshold,
     lagrange_coefficient_at_zero,
     split,
 )
@@ -53,10 +54,6 @@ class GroupDirectory:
     def __post_init__(self) -> None:
         _check_ids([m.u for m in self.members])
 
-    @property
-    def n(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class MaskedShare:
@@ -85,10 +82,7 @@ class ThresholdSignature:
     threshold: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.threshold <= len(self.masked_shares):
-            raise ThresholdRangeError(
-                f"threshold {self.threshold} outside [1, {len(self.masked_shares)}]"
-            )
+        _check_threshold(self.threshold, len(self.masked_shares))
 
 
 @dataclass(frozen=True)
@@ -111,22 +105,23 @@ def _deal_masked_shares(
     group: SchnorrGroup,
     directory: GroupDirectory,
     k: int,
-    k1: Scalar,
-    k2: Scalar,
     rng: Optional[random.Random],
+    nonces: Optional[Tuple[int, int]],
     polynomial: Union[SharingPolynomial, Sequence[int], None],
-) -> Tuple[GroupElement, GroupElement, Tuple[MaskedShare, ...]]:
-    """Common construction of (w, commitment, masked shares) from fresh nonces."""
-    if not 1 <= k <= directory.n:
-        raise ThresholdRangeError(f"threshold {k} outside [1, {directory.n}]")
+) -> Tuple[Scalar, GroupElement, GroupElement, Tuple[MaskedShare, ...]]:
+    """Draw (k1, k2); return k1, w = g^-k2, g^k1 and the masked shares of k1.
+
+    Splitting comes first, so a bad threshold fails before any exponentiation.
+    """
+    k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
+    shares = split(k1, k, [m.u for m in directory.members], rng, polynomial=polynomial)
     w = group.generator ** -k2
     commitment = group.generator ** k1
-    shares = split(k1, k, [m.u for m in directory.members], rng, polynomial=polynomial)
     masked = tuple(
         MaskedShare(u=share.u, v=share.v.value * (member.y ** k2).value % group.p)
         for share, member in zip(shares, directory.members)
     )
-    return w, commitment, masked
+    return k1, w, commitment, masked
 
 
 def sign_for_group(
@@ -147,14 +142,8 @@ def sign_for_group(
     each member's share f(u_i) is masked by y_i^k2. `nonces` and
     `polynomial` inject fixed values for deterministic replay.
     """
-    if nonces is not None:
-        k1, k2 = (group.scalar(n) for n in nonces)
-    else:
-        k1 = group.random_scalar(rng, nonzero=True)
-        k2 = group.random_scalar(rng, nonzero=True)
-    w, commitment, masked = _deal_masked_shares(group, directory, k, k1, k2, rng, polynomial)
-    r_hash = h.hash_to_scalar(commitment, message)
-    s = k1 + signer.x * r_hash
+    k1, w, commitment, masked = _deal_masked_shares(group, directory, k, rng, nonces, polynomial)
+    s = respond(k1, signer, commitment, message, h)
     return ThresholdSignature(s=s, w=w, message=message, masked_shares=masked, threshold=k)
 
 
@@ -203,6 +192,22 @@ def partial_result(group: SchnorrGroup, shadow: ModifiedShadow) -> PartialResult
     return PartialResult(u=shadow.u, value=group.generator ** shadow.value)
 
 
+def _check_quorum(ids: Sequence[Scalar], threshold: int) -> None:
+    """A quorum has exactly `threshold` members, with distinct nonzero ids."""
+    if len(ids) != threshold:
+        raise QuorumSizeError(f"quorum of {len(ids)} members, threshold is {threshold}")
+    _check_ids(ids)
+
+
+def _combine(partials: Sequence[PartialResult], threshold: int) -> GroupElement:
+    """Check the quorum, then multiply its partial results into R."""
+    _check_quorum([p.u for p in partials], threshold)
+    r_elem = partials[0].value
+    for partial in partials[1:]:
+        r_elem = r_elem * partial.value
+    return r_elem
+
+
 def combine_and_verify(
     group: SchnorrGroup,
     sig: ThresholdSignature,
@@ -216,13 +221,6 @@ def combine_and_verify(
     exactly the directed scheme's check. The combiner holds no secrets;
     everything here is public input plus the submitted partials.
     """
-    if len(partials) != sig.threshold:
-        raise QuorumSizeError(
-            f"got {len(partials)} partial results, threshold is {sig.threshold}"
-        )
-    _check_ids([p.u for p in partials])
-    r_elem = partials[0].value
-    for partial in partials[1:]:
-        r_elem = r_elem * partial.value
-    r_hash = h.hash_to_scalar(r_elem, sig.message)
-    return group.generator ** sig.s == r_elem * signer_pub ** r_hash
+    r_elem = _combine(partials, sig.threshold)
+    accept, _ = check_response(group, sig.s, r_elem, signer_pub, sig.message, h)
+    return accept

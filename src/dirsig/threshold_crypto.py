@@ -16,13 +16,15 @@ from typing import Optional, Sequence, Tuple, Union
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from .directed import check_response, respond
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
 from .hashing import DEFAULT_HASH, HashFunction
-from .shamir import SharingPolynomial, ThresholdRangeError, _check_ids
+from .shamir import SharingPolynomial, _check_threshold
 from .threshold import (
     GroupDirectory,
     MaskedShare,
-    QuorumSizeError,
+    _check_quorum,
+    _combine,
     _deal_masked_shares,
     modify_shadow,
     partial_result,
@@ -58,10 +60,7 @@ class ThresholdCiphertext:
     def __post_init__(self) -> None:
         if not self.ciphertext:
             raise ValueError("ciphertext must be nonempty")
-        if not 1 <= self.threshold <= len(self.masked_shares):
-            raise ThresholdRangeError(
-                f"threshold {self.threshold} outside [1, {len(self.masked_shares)}]"
-            )
+        _check_threshold(self.threshold, len(self.masked_shares))
 
 
 def encrypt_to_group(
@@ -84,19 +83,12 @@ def encrypt_to_group(
     check before decrypting.
     """
     rng = rng or random.SystemRandom()
-    if nonces is not None:
-        k1, k2 = (group.scalar(n) for n in nonces)
-    else:
-        k1 = group.random_scalar(rng, nonzero=True)
-        k2 = group.random_scalar(rng, nonzero=True)
-    w, commitment, masked = _deal_masked_shares(group, directory, k, k1, k2, rng, polynomial)
+    k1, w, commitment, masked = _deal_masked_shares(group, directory, k, rng, nonces, polynomial)
     key = h.hash_to_key(commitment)
     cipher_nonce = rng.getrandbits(8 * _NONCE_BYTES).to_bytes(_NONCE_BYTES, "big")
     ciphertext = ChaCha20Poly1305(key).encrypt(cipher_nonce, bytes(message), None)
-    r_hash = h.hash_to_scalar(commitment, ciphertext)
-    s = k1 + sender.x * r_hash
     return ThresholdCiphertext(
-        s=s,
+        s=respond(k1, sender, commitment, ciphertext, h),
         w=w,
         nonce=cipher_nonce,
         ciphertext=ciphertext,
@@ -121,25 +113,18 @@ def decrypt_with_quorum(
     DecryptionAuthenticationError (cipher tag mismatch), never as garbage
     plaintext.
     """
-    if len(quorum) != ct.threshold:
-        raise QuorumSizeError(
-            f"quorum of {len(quorum)} cannot decrypt with threshold {ct.threshold}"
-        )
     quorum_ids = [u for _, u in quorum]
-    _check_ids(quorum_ids)
+    _check_quorum(quorum_ids, ct.threshold)  # before any member step
 
     # the member-side steps reuse the threshold-verification machinery
-    partials = []
-    for member, u in quorum:
-        share = recover_share(group, ct, member, u)
-        shadow = modify_shadow(share, quorum_ids)
-        partials.append(partial_result(group, shadow))
+    partials = [
+        partial_result(group, modify_shadow(recover_share(group, ct, member, u), quorum_ids))
+        for member, u in quorum
+    ]
 
-    r_elem = partials[0].value
-    for partial in partials[1:]:
-        r_elem = r_elem * partial.value
-    r_hash = h.hash_to_scalar(r_elem, ct.ciphertext)
-    if group.generator ** ct.s != r_elem * sender_pub ** r_hash:
+    r_elem = _combine(partials, ct.threshold)
+    accept, _ = check_response(group, ct.s, r_elem, sender_pub, ct.ciphertext, h)
+    if not accept:
         raise SenderAuthenticationError("rebuilt commitment does not match the response")
 
     key = h.hash_to_key(r_elem)

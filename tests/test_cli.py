@@ -1,6 +1,7 @@
 """Command-line workflows driven end-to-end from files."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from dirsig import serialize
 from dirsig.cli import main
+from dirsig.group import keygen
 from dirsig.keystore import Keystore
 
 from conftest import MSG
@@ -418,3 +420,104 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "S_A = 5" in proc.stdout
+
+
+def _threshold_files(tmp_path, group_file, message_file):
+    """A 2-of-3 threshold signature and ciphertext to bob=1, carol=2, dave=3."""
+    tsig, ct = tmp_path / "tsig.json", tmp_path / "ct.json"
+    members = ("--member", "bob=1", "--member", "carol=2", "--member", "dave=3")
+    common = ("--group", group_file, "--keystore", tmp_path, "--k", 2, *members,
+              "--message-file", message_file)
+    assert run("tsign", "--signer", "alice", *common, "--out", tsig) == 0
+    assert run("gencrypt", "--sender", "alice", *common, "--out", ct) == 0
+    return tsig, ct
+
+
+@pytest.mark.parametrize("u", ["c", "b", "01", " 1", "+1"])
+def test_identity_arguments_must_be_canonical_below_q(toy_env, capsys, u):
+    """The toy group has q = 11, so "c" must not stand for identity 1."""
+    tmp_path, group_file, message_file = toy_env
+    tsig, ct = _threshold_files(tmp_path, group_file, message_file)
+    share = tmp_path / "share.json"
+    assert run(
+        "trecover", "--group", group_file, "--keystore", tmp_path,
+        "--sig", tsig, "--member", "bob", "--u", "1", "--out", share,
+    ) == 0
+    capsys.readouterr()
+    assert run(
+        "trecover", "--group", group_file, "--keystore", tmp_path,
+        "--sig", tsig, "--member", "bob", "--u", u,
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", f"{u},2") == 3
+    assert "parse-error" in capsys.readouterr().err
+    assert run(
+        "gdecrypt", "--group", group_file, "--keystore", tmp_path, "--ct", ct,
+        "--sender", "alice", "--member", f"bob={u}", "--member", "carol=2",
+    ) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quorum", ["1, 2", "1,,2", "1,2,", ""])
+def test_quorum_list_takes_no_spaces_or_empty_items(toy_env, capsys, quorum):
+    tmp_path, group_file, message_file = toy_env
+    tsig, _ = _threshold_files(tmp_path, group_file, message_file)
+    share = tmp_path / "share.json"
+    assert run(
+        "trecover", "--group", group_file, "--keystore", tmp_path,
+        "--sig", tsig, "--member", "bob", "--u", "1", "--out", share,
+    ) == 0
+    capsys.readouterr()
+    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", quorum) == 3
+    assert "parse-error" in capsys.readouterr().err
+
+
+def test_parse_errors_do_not_echo_a_huge_value(toy_env, capsys):
+    tmp_path, group_file, _ = toy_env
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": "Z" * (1 << 20)}))
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    err = capsys.readouterr().err
+    assert "parse-error" in err and len(err) < 1024
+    # nor the names of unexpected fields
+    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": "", "Z" * 4096: 1}))
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    err = capsys.readouterr().err
+    assert "parse-error" in err and "ZZ" not in err and len(err) < 1024
+
+
+def test_parse_errors_do_not_echo_secrets(tmp_path, big_group, capsys):
+    """A non-canonical private key or share value stays off stderr."""
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    rng = random.Random(0x5EC2E7)
+    store = Keystore(tmp_path)
+    for name in ("alice", "bob"):
+        store.save_keypair(name, keygen(big_group, rng))
+    bob = store.keypair_path("bob")
+    key = json.loads(bob.read_text())
+    secret = key["x"]
+    bob.write_text(json.dumps({**key, "x": "0" + secret}))
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"s": "5", "w": "1", "v": "1", "m": ""}))
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    err = capsys.readouterr().err
+    assert "parse-error" in err
+    assert secret not in err and str(int(secret, 16)) not in err
+
+    share_value = format(big_group.q - 1, "x")
+    share = tmp_path / "share.json"
+    share.write_text(json.dumps({"u": "1", "v": share_value.upper()}))
+    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", "1") == 3
+    err = capsys.readouterr().err
+    assert "parse-error" in err
+    assert share_value.upper() not in err and str(big_group.q - 1) not in err

@@ -21,9 +21,11 @@ from dirsig.directed import (
     verify_directed,
 )
 from dirsig.group import GroupElement, keygen
+from dirsig.shamir import ShareIdError, ThresholdRangeError
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
+    QuorumSizeError,
     combine_and_verify,
     modify_shadow,
     partial_result,
@@ -122,3 +124,29 @@ def test_group_encryption_costs(big_group, parties, pows):
     quorum = [(members[u], big_group.scalar(u)) for u in (2, 3, 4)]
     plain, counts = cost(pows, decrypt_with_quorum, big_group, ct, quorum, sender.y)
     assert plain == MSG and counts == (K + 1, K + 1)
+
+
+def test_decryption_checks_the_quorum_before_any_exponentiation(big_group, parties, pows):
+    sender, _, third, members, directory = parties
+    ct = encrypt_to_group(big_group, sender, directory, K, MSG, random.Random(5))
+    outsider = (third, big_group.scalar(N + 1))  # not a member: MemberNotFoundError if reached
+    pows.clear()
+    with pytest.raises(QuorumSizeError):
+        decrypt_with_quorum(big_group, ct, [(members[1], big_group.scalar(1)), outsider], sender.y)
+    assert sum(pows.values()) == 0
+    duplicated = [(members[u], big_group.scalar(u)) for u in (1, 1, 2)]
+    with pytest.raises(ShareIdError):
+        decrypt_with_quorum(big_group, ct, duplicated, sender.y)
+    assert sum(pows.values()) == 0
+
+
+@pytest.mark.parametrize("deal", [sign_for_group, encrypt_to_group])
+@pytest.mark.parametrize("k", [0, N + 1])
+def test_dealing_checks_the_threshold_before_any_exponentiation(
+    big_group, parties, pows, deal, k
+):
+    signer, _, _, _, directory = parties
+    pows.clear()
+    with pytest.raises(ThresholdRangeError):
+        deal(big_group, signer, directory, k, MSG, random.Random(6))
+    assert sum(pows.values()) == 0

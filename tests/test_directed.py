@@ -10,8 +10,10 @@ import random
 
 from dirsig.directed import (
     DirectedSignature,
+    check_response,
     prove_by_receiver,
     prove_by_signer,
+    respond,
     sign_directed,
     verify_as_third_party,
     verify_directed,
@@ -259,3 +261,20 @@ def test_forgery_census_matches_oracle(toy_group, toy_keys):
         chance_hits += accept
     # roughly one in q of the random triples should satisfy the equation
     assert 0 < chance_hits < 2500
+
+
+def test_response_kernel_golden_values(toy_group, toy_keys, fixture_hash):
+    """The toy walkthrough's response and check: k1 = 9, R = g^9 = 18, h = 10, s = 5."""
+    signer = toy_keys["signer"]
+    r = toy_group.element(18)
+    s = respond(toy_group.scalar(9), signer, r, MSG, fixture_hash)
+    assert s.value == 5
+    assert check_response(toy_group, s, r, signer.y, MSG, fixture_hash) == (
+        True, toy_group.scalar(10)
+    )
+    for bad_s in range(11):
+        if bad_s != 5:
+            accept, _ = check_response(
+                toy_group, toy_group.scalar(bad_s), r, signer.y, MSG, fixture_hash
+            )
+            assert not accept

@@ -110,6 +110,32 @@ def test_documents_carry_exactly_their_fields(toy_group):
         keypair_from_dict(toy_group, {"x": "4", "y": "c", "note": ""})
 
 
+@pytest.mark.parametrize(
+    "parse, value, described",
+    [
+        (hex_to_int, "0" + "ab" * 100, "str of length 201"),
+        (hex_to_bytes, "AB" * 100, "str of length 200"),
+        (hex_to_int, 7, "int"),
+        (lambda v: keypair_from_dict(None, v), {"x": "ab" * 50, "y": "1", "z": "1"},
+         "dict of length 3"),
+        (lambda v: keypair_from_dict(None, v), ["ab" * 50], "list of length 1"),
+    ],
+    ids=["long-hex", "uppercase-bytes", "non-string", "extra-field", "non-object"],
+)
+def test_parse_errors_give_only_type_and_length(parse, value, described):
+    """An offending value may be huge or secret, so errors never quote it."""
+    with pytest.raises(SerializationError) as info:
+        parse(value)
+    assert str(info.value).endswith("got " + described)
+    assert "ab" not in str(info.value).lower()
+
+
+def test_subgroup_error_does_not_echo_the_value(toy_group):
+    with pytest.raises(MalformedSignatureError) as info:
+        directed_signature_from_dict(toy_group, {"s": "5", "w": "abcdef", "v": "1", "m": ""})
+    assert "abcdef" not in str(info.value) and str(0xABCDEF) not in str(info.value)
+
+
 def test_out_of_range_masked_share_is_malformed(toy_group):
     data = {"s": "5", "w": "10", "m": MSG.hex(), "k": 1, "shares": [{"u": "1", "v": "16"}]}
     assert threshold_signature_from_dict(toy_group, data).masked_shares[0].v == 22  # p - 1
