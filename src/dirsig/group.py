@@ -10,7 +10,6 @@ toolkit does not attempt constant-time big-integer operations.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -92,13 +91,23 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     return True
 
 
+def _bits(value: int) -> str:
+    """The size of an integer for an error message, never its digits.
+
+    Quoting the value could leak a secret, and past the interpreter's
+    int-to-str digit limit the formatting itself raises.
+    """
+    return f"{value.bit_length()}-bit"
+
+
 def mod_inv(a: int, m: int) -> int:
     """Multiplicative inverse of a modulo m; raises if gcd(a, m) != 1."""
     if m <= 0:
         raise ValueError("modulus must be positive")
-    if math.gcd(a % m, m) != 1:
-        raise NonInvertibleError(f"{a} has no inverse modulo {m}")
-    return pow(a, -1, m)
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NonInvertibleError(f"value has no inverse modulo a {_bits(m)} modulus") from None
 
 
 # Fixed-base exponentiation of g (HAC §14.6.3): row i of the table holds
@@ -129,15 +138,15 @@ def _fixed_base_table(g: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 def _check_parameters(p: int, q: int, g: int) -> None:
     if p < 3 or not is_probable_prime(p):
-        raise CompositeModulusError(f"modulus {p} is not prime")
+        raise CompositeModulusError(f"{_bits(p)} modulus p is not prime")
     if q < 2 or not is_probable_prime(q):
-        raise CompositeOrderError(f"subgroup order {q} is not prime")
+        raise CompositeOrderError(f"{_bits(q)} subgroup order q is not prime")
     if (p - 1) % q != 0:
-        raise OrderNotDividingError(f"{q} does not divide {p} - 1")
+        raise OrderNotDividingError(f"{_bits(q)} q does not divide p - 1 ({_bits(p)} p)")
     if not 2 <= g <= p - 1:
-        raise BadGeneratorError(f"generator {g} outside [2, p-1]")
+        raise BadGeneratorError(f"{_bits(g)} generator g outside [2, p-1] ({_bits(p)} p)")
     if pow(g, q, p) != 1:
-        raise BadGeneratorError(f"generator {g} does not have order {q}")
+        raise BadGeneratorError(f"generator g does not have order q ({_bits(q)} q)")
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,7 @@ class SchnorrGroup:
         """
         elem = GroupElement(value, self)
         if pow(value, self.q, self.p) != 1:
-            raise NotInSubgroupError(f"{value} is not in the order-{self.q} subgroup")
+            raise NotInSubgroupError(f"{_bits(value)} value is not in the order-q subgroup")
         return elem
 
     def random_scalar(self, rng: Optional[random.Random] = None, *, nonzero: bool = False) -> "Scalar":
@@ -227,12 +236,13 @@ class Scalar:
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < self.group.q:
-            raise ValueError(f"scalar {self.value} outside [0, {self.group.q - 1}]")
+            raise ValueError(f"{_bits(self.value)} scalar outside [0, q-1]")
 
     def _coerce(self, other: "Scalar") -> int:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.group != self.group:
+        # identity first: the dataclass __eq__ builds two tuples per call
+        if other.group is not self.group and other.group != self.group:
             raise ValueError("scalars belong to different groups")
         return other.value
 
@@ -269,7 +279,7 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         if not 1 <= self.value <= self.group.p - 1:
-            raise ValueError(f"element {self.value} outside [1, {self.group.p - 1}]")
+            raise ValueError(f"{_bits(self.value)} element outside [1, p-1]")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
@@ -307,7 +317,7 @@ class KeyPair:
     @classmethod
     def from_private(cls, group: SchnorrGroup, x: int) -> "KeyPair":
         if not 1 <= x < group.q:
-            raise ValueError(f"private key must lie in [1, {group.q - 1}]")
+            raise ValueError("private key must lie in [1, q-1]")
         xs = Scalar(x, group)
         return cls(x=xs, y=group.generator ** xs)
 

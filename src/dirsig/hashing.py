@@ -81,7 +81,8 @@ class FixtureHash(HashFunction):
         if key in self.table:
             return element.group.scalar(self.table[key])
         if self.error_on_miss:
-            raise FixtureMissError(f"no fixture entry for element {element.value}")
+            # the element is R, designation-sensitive: name no value
+            raise FixtureMissError("no fixture entry for this element and message")
         return self._fallback.hash_to_scalar(element, message)
 
     @classmethod

@@ -32,6 +32,8 @@ class SharingPolynomial:
     def __post_init__(self) -> None:
         if not self.coefficients:
             raise ValueError("a sharing polynomial needs at least one coefficient")
+        for coeff in self.coefficients[1:]:
+            self.secret._coerce(coeff)  # TypeError on a non-Scalar, ValueError on a mixed group
 
     @property
     def threshold(self) -> int:
@@ -42,10 +44,13 @@ class SharingPolynomial:
         return self.coefficients[0]
 
     def evaluate(self, u: Scalar) -> Scalar:
-        acc = self.coefficients[-1]
-        for coeff in reversed(self.coefficients[:-1]):
-            acc = acc * u + coeff
-        return acc
+        """f(u) by Horner's rule on plain ints mod q; u must be of the coefficients' group."""
+        x = self.secret._coerce(u)
+        q = u.group.q
+        acc = 0
+        for coeff in reversed(self.coefficients):
+            acc = (acc * x + coeff.value) % q
+        return Scalar(acc, u.group)
 
     @classmethod
     def random(
@@ -114,21 +119,24 @@ def split(
 def lagrange_coefficient_at_zero(quorum_ids: Sequence[Scalar], index: int) -> Scalar:
     """Weight for quorum member `index`: prod over j != i of -u_j / (u_i - u_j).
 
-    With these weights, sum(lambda_i * f(u_i)) = f(0). The empty product
-    (a single-member quorum) is 1. Differences are invertible because the
-    identities are distinct and q is prime.
+    Computed as prod(u_j) / prod(u_j - u_i) on plain ints mod q, so one
+    inversion per weight. With these weights, sum(lambda_i * f(u_i)) = f(0).
+    The empty product (a single-member quorum) is 1. The denominator is
+    invertible because the identities are distinct and q is prime.
     """
     _check_ids(quorum_ids)
     if not 0 <= index < len(quorum_ids):
         raise IndexError(f"index {index} outside quorum of size {len(quorum_ids)}")
     u_i = quorum_ids[index]
     group: SchnorrGroup = u_i.group
-    lam = group.scalar(1)
-    for j, u_j in enumerate(quorum_ids):
-        if j == index:
-            continue
-        lam = lam * (-u_j) * (u_i - u_j).inverse()
-    return lam
+    values = [u_i._coerce(u) for u in quorum_ids]  # ValueError on a mixed group
+    q, x_i = group.q, values[index]
+    num = den = 1
+    for j, x_j in enumerate(values):
+        if j != index:
+            num = num * x_j % q
+            den = den * (x_j - x_i) % q
+    return group.scalar(num) * group.scalar(den).inverse()
 
 
 def reconstruct(quorum: Sequence[Share]) -> Scalar:

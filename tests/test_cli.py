@@ -9,6 +9,7 @@ import pytest
 
 from dirsig import serialize
 from dirsig.cli import main
+from dirsig.directed import sign_directed
 from dirsig.group import keygen
 from dirsig.keystore import Keystore
 
@@ -521,3 +522,42 @@ def test_parse_errors_do_not_echo_secrets(tmp_path, big_group, capsys):
     err = capsys.readouterr().err
     assert "parse-error" in err
     assert share_value.upper() not in err and str(big_group.q - 1) not in err
+
+
+def test_oversized_group_is_an_invalid_group(tmp_path, capsys):
+    """A p of 5001 decimal digits is reported by size, not by its digits."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"p": format(10**5000, "x"), "q": "b", "g": "3"}))
+    assert run(
+        "dverify", "--group", huge, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", tmp_path / "never-read.json",
+    ) == 3
+    err = capsys.readouterr().err
+    assert "invalid-group" in err and len(err) < 1024
+
+
+def test_fixture_miss_does_not_print_the_commitment(tmp_path, big_group, capsys):
+    """R is designation-sensitive: a fixture miss names neither its decimal nor its hex."""
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    rng = random.Random(0xF1C7)
+    store = Keystore(tmp_path)
+    alice, bob = keygen(big_group, rng), keygen(big_group, rng)
+    store.save_keypair("alice", alice)
+    store.save_keypair("bob", bob)
+    sig, nonces = sign_directed(big_group, alice, bob.y, MSG, rng)
+    sig_file = tmp_path / "sig.json"
+    serialize.save_json(sig_file, serialize.directed_signature_to_dict(sig))
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(
+        json.dumps({"entries": [{"element": "5", "message": MSG.hex(), "scalar": "1"}]})
+    )
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig_file,
+        "--hash", f"fixture:{fixture}",
+    ) == 3
+    err = capsys.readouterr().err
+    r_value = (big_group.generator ** nonces.k1).value
+    assert "fixture-miss" in err
+    assert str(r_value) not in err and format(r_value, "x") not in err

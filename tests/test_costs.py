@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+import dirsig.group
 from dirsig.directed import (
     prove_by_receiver,
     prove_by_signer,
@@ -21,7 +22,7 @@ from dirsig.directed import (
     verify_directed,
 )
 from dirsig.group import GroupElement, keygen
-from dirsig.shamir import ShareIdError, ThresholdRangeError
+from dirsig.shamir import Share, ShareIdError, ThresholdRangeError
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
@@ -149,4 +150,22 @@ def test_dealing_checks_the_threshold_before_any_exponentiation(
     pows.clear()
     with pytest.raises(ThresholdRangeError):
         deal(big_group, signer, directory, k, MSG, random.Random(6))
+    assert sum(pows.values()) == 0
+
+
+def test_member_weight_costs_one_inversion(big_group, pows, monkeypatch):
+    """modify_shadow in a k = 32 quorum: one modular inversion, no exponentiation."""
+    inversions = []
+    original = dirsig.group.mod_inv
+
+    def counting_inv(a, m):
+        inversions.append(m)
+        return original(a, m)
+
+    monkeypatch.setattr(dirsig.group, "mod_inv", counting_inv)
+    quorum = [big_group.scalar(u) for u in range(1, 33)]
+    share = Share(u=quorum[17], v=big_group.scalar(7))
+    pows.clear()
+    modify_shadow(share, quorum)
+    assert inversions == [big_group.q]
     assert sum(pows.values()) == 0

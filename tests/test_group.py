@@ -216,3 +216,22 @@ def test_element_import_checks_range_and_membership(toy_group):
         GroupElement(0, toy_group)
     with pytest.raises(ValueError):
         GroupElement(23, toy_group)
+
+
+def test_errors_give_sizes_not_digits(toy_group, big_group):
+    """Group errors name the failed invariant and a bit length, never the integer."""
+    with pytest.raises(CompositeModulusError, match="16610-bit"):
+        validate_group(10**5000, 11, 3)  # past the int-to-str digit limit
+    secret = 123456789 * 3
+    raisers = [
+        (lambda: Scalar(secret, toy_group), ValueError),
+        (lambda: GroupElement(secret, toy_group), ValueError),
+        (lambda: mod_inv(secret, 9), NonInvertibleError),
+    ]
+    for raiser, error in raisers:
+        with pytest.raises(error) as info:
+            raiser()
+        assert str(secret) not in str(info.value)
+    with pytest.raises(NotInSubgroupError) as info:
+        big_group.element(big_group.p - 1)
+    assert str(big_group.p - 1) not in str(info.value)

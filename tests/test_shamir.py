@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dirsig.group import validate_group
 from dirsig.shamir import (
     Share,
     ShareIdError,
@@ -135,3 +138,89 @@ def test_single_share_hides_everything(toy_group):
             b for b in range(q) if (secret + b * u) % q == v
         ]
         assert len(consistent) == 1, secret
+
+
+# -- the integer kernels against the per-term Scalar formulas -----------------
+
+
+def _reference_weight(ids, index):
+    """prod over j != i of -u_j / (u_i - u_j), one Scalar inversion per term."""
+    u_i = ids[index]
+    lam = u_i.group.scalar(1)
+    for j, u_j in enumerate(ids):
+        if j != index:
+            lam = lam * (-u_j) * (u_i - u_j).inverse()
+    return lam
+
+
+def _reference_evaluate(coefficients, u):
+    """Horner's rule in Scalar arithmetic."""
+    acc = coefficients[-1]
+    for coeff in reversed(coefficients[:-1]):
+        acc = acc * u + coeff
+    return acc
+
+
+def _draw_ids(data, group, max_size=12):
+    values = data.draw(st.lists(
+        st.integers(1, group.q - 1), min_size=1, max_size=min(max_size, group.q - 1), unique=True
+    ))
+    return [group.scalar(v) for v in values]
+
+
+def _draw_coefficients(data, group, max_size):
+    values = data.draw(st.lists(st.integers(0, group.q - 1), min_size=1, max_size=max_size))
+    return tuple(group.scalar(v) for v in values)
+
+
+@pytest.mark.parametrize("which", ["toy", "big"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weight_matches_the_per_term_formula(which, toy_group, big_group, data):
+    group = toy_group if which == "toy" else big_group
+    ids = _draw_ids(data, group)
+    index = data.draw(st.integers(0, len(ids) - 1))
+    assert lagrange_coefficient_at_zero(ids, index) == _reference_weight(ids, index)
+
+
+@pytest.mark.parametrize("which", ["toy", "big"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weights_interpolate_any_polynomial_below_the_quorum_size(
+    which, toy_group, big_group, data
+):
+    group = toy_group if which == "toy" else big_group
+    ids = _draw_ids(data, group)
+    coefficients = _draw_coefficients(data, group, len(ids))
+    total = group.scalar(0)
+    for index, u in enumerate(ids):
+        weight = lagrange_coefficient_at_zero(ids, index)
+        total = total + weight * _reference_evaluate(coefficients, u)
+    assert total == coefficients[0]
+
+
+@pytest.mark.parametrize("which", ["toy", "big"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_scalar_horner(which, toy_group, big_group, data):
+    group = toy_group if which == "toy" else big_group
+    coefficients = _draw_coefficients(data, group, 12)
+    u = group.scalar(data.draw(st.integers(0, group.q - 1)))
+    polynomial = SharingPolynomial(coefficients)
+    assert polynomial.evaluate(u) == _reference_evaluate(coefficients, u)
+
+
+def test_mixed_groups_are_rejected(toy_group):
+    other = validate_group(47, 23, 2)
+    mixed_ids = [toy_group.scalar(1), other.scalar(2), toy_group.scalar(3)]
+    for index in range(len(mixed_ids)):
+        with pytest.raises(ValueError):
+            lagrange_coefficient_at_zero(mixed_ids, index)
+    with pytest.raises(ValueError):
+        split(toy_group.scalar(9), 2, _ids(toy_group, 1, 2), polynomial=SharingPolynomial(
+            (toy_group.scalar(9), other.scalar(3))
+        ))
+    with pytest.raises(ValueError):
+        split(toy_group.scalar(9), 2, _ids(other, 1, 2), polynomial=(9, 3))
+    with pytest.raises(ValueError):
+        SharingPolynomial((toy_group.scalar(9), toy_group.scalar(3))).evaluate(other.scalar(1))
