@@ -11,6 +11,9 @@ toolkit does not attempt constant-time big-integer operations.
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -110,30 +113,82 @@ def mod_inv(a: int, m: int) -> int:
         raise NonInvertibleError(f"value has no inverse modulo a {_bits(m)} modulus") from None
 
 
-# Fixed-base exponentiation of g (HAC §14.6.3): row i of the table holds
-# g^(d * 2^(W*i)) for every W-bit digit d, so g^e is one product of table
-# entries, one per digit of e mod q. Window 6 gives ceil(224/6) = 38 rows of
-# 64 entries at 2048/224 (~0.75 MB) and 27 rows at 512/160 (~0.2 MB).
+# Fixed-base exponentiation (HAC §14.6.3). A base's table at window W is one
+# flat tuple whose entry (i << W) + d is b^(d * 2^(W*i)) for every W-bit digit d
+# of ceil(bits(q)/W) rows i, so b^e for 0 <= e < q is one product of entries,
+# one per digit of e. g's table (window 6, ~0.75 MB at 2048/224) is pinned on
+# its group; any other element that keeps coming back (a member's key, the
+# signer's key, the w a quorum unmasks) earns one at window 2.
 _G_WINDOW = 6
+_KEY_WINDOW = 2
 
-# A group builds its table on its Nth g-exponentiation, once the table would
-# have paid for itself. Build cost / saving per call against builtin pow,
-# measured on Python 3.11 (2 cores, x86-64): 2048/224 ~48-50 ms / ~3.3 ms,
-# 512/160 ~3.2-3.7 ms / ~0.24-0.28 ms, a break-even of 11-15 calls at both
-# sizes. A one-shot CLI command does at most three and never builds one.
+# A table is built on its base's Nth exponentiation, once it would have paid
+# for itself. Build cost / saving per call against builtin pow on Python 3.11
+# (2 cores, x86-64): g ~50 ms / ~3.3 ms at 2048/224 and ~3.5 ms / ~0.26 ms at
+# 512/160; a key ~6 ms / ~2.3 ms and ~0.5 ms / ~0.15 ms. A one-shot CLI
+# command does at most three per base and never builds one.
 _G_TABLE_AFTER = 15
 
+# Per group, the live bytes of element tables (25 KiB a key at 512/160, 102 KiB
+# at 2048/224) stay under this cap: a 64-member directory, its signer and one w
+# fit, or 17 keys at 2048/224. A collected element's table returns its bytes,
+# inside whatever code runs at that moment, hence a reentrant lock.
+_TABLE_BYTES_CAP = 7 << 18
+_TABLE_LOCK = threading.RLock()
 
-def _fixed_base_table(g: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    base = g
-    for _ in range(-(-q.bit_length() // _G_WINDOW)):
-        row = [1, base]
-        for _ in range(2, 1 << _G_WINDOW):
-            row.append(row[-1] * base % p)
-        rows.append(tuple(row))
-        base = row[-1] * base % p
-    return tuple(rows)
+
+def _fixed_base_table(base: int, p: int, q: int, window: int) -> tuple[int, ...]:
+    table: list[int] = []
+    for _ in range(-(-q.bit_length() // window)):
+        table += (1, base)
+        for _ in range(2, 1 << window):
+            table.append(table[-1] * base % p)
+        base = table[-1] * base % p
+    return tuple(table)
+
+
+def _table_pow(table: tuple[int, ...], e: int, p: int, window: int) -> int:
+    """b^e mod p from b's table, for 0 <= e < q."""
+    result, mask = 1, (1 << window) - 1
+    for row in range(0, len(table), 1 << window):
+        if digit := e & mask:
+            result = result * table[row + digit] % p
+        e >>= window
+    return result
+
+
+def _reserve(group: "SchnorrGroup", nbytes: int) -> bool:
+    """Add nbytes (< 0 to release) to the group's live-table total, unless past the cap."""
+    with _TABLE_LOCK:
+        total = group.__dict__.get("_table_bytes", 0) + nbytes
+        if total <= _TABLE_BYTES_CAP:
+            group.__dict__["_table_bytes"] = total
+        return total <= _TABLE_BYTES_CAP
+
+
+def _earned_table(owner: object, base: "GroupElement", window: int) -> Optional[tuple[int, ...]]:
+    """`owner`'s table for `base` from its _G_TABLE_AFTER-th use on, else None.
+
+    Count and table live in the owner's __dict__, outside the dataclass fields
+    that equality, hashing and repr read. An element reserves its table's bytes
+    before the build, so under threads a lost count or a second build costs time.
+    """
+    group, state = base.group, owner.__dict__
+    prefix = "_g_" if owner is group else "_"
+    table = state.get(prefix + "table")
+    if table is None:
+        uses = state[prefix + "uses"] = state.get(prefix + "uses", 0) + 1
+        if uses < _G_TABLE_AFTER:
+            return None
+        if owner is not group:
+            rows = -(-group.q.bit_length() // window)
+            size = sys.getsizeof((1,) * (rows << window))  # the tuple; all rows share 1
+            nbytes = size + rows * ((1 << window) - 1) * sys.getsizeof(group.p)
+            if not _reserve(group, nbytes):
+                return None
+            weakref.finalize(owner, _reserve, group, -nbytes)
+        table = state[prefix + "table"] = _fixed_base_table(base.value, group.p, group.q, window)
+    return table
 
 
 def _check_parameters(p: int, q: int, g: int) -> None:
@@ -168,35 +223,6 @@ class SchnorrGroup:
     @property
     def generator(self) -> "GroupElement":
         return GroupElement(self.g, self)
-
-    def _pow_g(self, e: int) -> int:
-        """g^e mod p for any integer e, valid because g has order q.
-
-        The table and the call count live in the instance __dict__, outside
-        the dataclass fields, so equality, hashing and repr ignore them.
-        Under threads a lost count or a second build costs only time: the
-        finished table is published by one assignment.
-        """
-        table = self.__dict__.get("_g_table")
-        if table is None:
-            uses = self.__dict__.get("_g_uses", 0) + 1
-            self.__dict__["_g_uses"] = uses
-            if uses < _G_TABLE_AFTER:
-                return pow(self.g, e, self.p)
-            table = _fixed_base_table(self.g, self.p, self.q)
-            self.__dict__["_g_table"] = table
-        p = self.p
-        e %= self.q
-        mask = (1 << _G_WINDOW) - 1
-        result = 1
-        for row in table:
-            if not e:
-                break
-            digit = e & mask
-            if digit:
-                result = result * row[digit] % p
-            e >>= _G_WINDOW
-        return result
 
     def scalar(self, value: int) -> "Scalar":
         """Reduce an integer into Z_q."""
@@ -284,21 +310,25 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
-        if other.group != self.group:
+        if other.group is not self.group and other.group != self.group:
             raise ValueError("elements belong to different groups")
         return GroupElement(self.value * other.value % self.group.p, self.group)
 
     def __pow__(self, exponent: Union[Scalar, int]) -> "GroupElement":
-        if isinstance(exponent, Scalar):
-            if exponent.group != self.group:
-                raise ValueError("exponent belongs to a different group")
-            e = exponent.value
-        else:
-            e = exponent
         group = self.group
-        if self.value == group.g:
-            return GroupElement(group._pow_g(e), group)
-        return GroupElement(pow(self.value, e, group.p), group)
+        if isinstance(exponent, Scalar):
+            if exponent.group is not group and exponent.group != group:
+                raise ValueError("exponent belongs to a different group")
+            exponent = exponent.value
+        if self.value == group.g:  # g has order q, so any exponent may be reduced
+            exponent %= group.q
+            owner, window = group, _G_WINDOW
+        else:  # never reduced: an element need not lie in the subgroup
+            owner, window = self, _KEY_WINDOW
+        table = _earned_table(owner, self, window) if 0 <= exponent < group.q else None
+        if table is None:
+            return GroupElement(pow(self.value, exponent, group.p), group)
+        return GroupElement(_table_pow(table, exponent, group.p, window), group)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(mod_inv(self.value, self.group.p), self.group)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .directed import check_response, respond
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import (
     Share,
@@ -68,7 +68,7 @@ class MaskedShare:
 
     def __post_init__(self) -> None:
         if not 0 <= self.v < self.u.group.p:
-            raise ValueError(f"masked share {self.v} outside [0, p-1]")
+            raise ValueError(f"{_bits(self.v)} masked share outside [0, p-1]")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,21 @@ hand or exhaustively; the 512-bit group exercises production sizes. Both
 are session-scoped immutable values.
 """
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from dirsig import FixtureHash, GroupDirectory, GroupMember, KeyPair, SchnorrGroup, generate_group
 
 MSG = b"message"
+
+# The arithmetic properties (Shamir kernels, per-element tables) leave their
+# example count to the profile. HYPOTHESIS_PROFILE=ci, which CI's tier-1 step
+# sets, runs twice the default and derandomizes, so a CI failure replays.
+settings.register_profile("ci", derandomize=True, max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

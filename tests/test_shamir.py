@@ -174,7 +174,7 @@ def _draw_coefficients(data, group, max_size):
 
 
 @pytest.mark.parametrize("which", ["toy", "big"])
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_weight_matches_the_per_term_formula(which, toy_group, big_group, data):
     group = toy_group if which == "toy" else big_group
@@ -184,7 +184,7 @@ def test_weight_matches_the_per_term_formula(which, toy_group, big_group, data):
 
 
 @pytest.mark.parametrize("which", ["toy", "big"])
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_weights_interpolate_any_polynomial_below_the_quorum_size(
     which, toy_group, big_group, data
@@ -200,7 +200,7 @@ def test_weights_interpolate_any_polynomial_below_the_quorum_size(
 
 
 @pytest.mark.parametrize("which", ["toy", "big"])
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_evaluate_matches_scalar_horner(which, toy_group, big_group, data):
     group = toy_group if which == "toy" else big_group

@@ -13,6 +13,7 @@ from dirsig.shamir import ShareIdError
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
+    MaskedShare,
     MemberNotFoundError,
     PartialResult,
     QuorumMembershipError,
@@ -329,3 +330,39 @@ def test_random_instances_at_production_size(big_group):
         for quorum in itertools.combinations(range(1, n + 1), k):
             partials = _run_quorum(big_group, sig, member_keys, quorum)
             assert combine_and_verify(big_group, sig, partials, signer.y)
+
+
+def test_masked_share_error_gives_a_size_not_digits(toy_group, big_group):
+    with pytest.raises(ValueError) as excinfo:
+        MaskedShare(u=toy_group.scalar(1), v=10**5000)
+    message = str(excinfo.value)
+    assert "masked share" in message and "16610-bit" in message and "limit" not in message
+    v = big_group.p + 123456789
+    with pytest.raises(ValueError) as excinfo:
+        MaskedShare(u=big_group.scalar(1), v=v)
+    assert str(v) not in str(excinfo.value) and format(v, "x") not in str(excinfo.value)
+
+
+def _legendre(value, p):
+    return pow(value, (p - 1) // 2, p)
+
+
+def test_masks_keep_the_quadratic_character_of_each_share(big_group):
+    """A known weakness, pinned: y_i^k2 is a square, so v_i = f(u_i)·y_i^k2
+    has the Legendre symbol of the share f(u_i) (Boneh-Joux-Nguyen,
+    ASIACRYPT 2000). The paper's multiplicative mask is kept as it is."""
+    rng = random.Random(0x1E6)
+    n = 12
+    member_keys = {u: keygen(big_group, rng) for u in range(1, n + 1)}
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=big_group.scalar(u), y=kp.y) for u, kp in member_keys.items()
+    ))
+    signer = keygen(big_group, rng)
+    symbols = set()
+    for _ in range(4):
+        sig = sign_for_group(big_group, signer, directory, 5, MSG, rng)
+        for masked in sig.masked_shares:
+            share = recover_share(big_group, sig, member_keys[masked.u.value], masked.u)
+            symbols.add(_legendre(share.v.value, big_group.p))
+            assert _legendre(masked.v, big_group.p) == _legendre(share.v.value, big_group.p)
+    assert symbols == {1, big_group.p - 1}  # both characters occur, and both leak
