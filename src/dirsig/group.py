@@ -14,7 +14,7 @@ import random
 import sys
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 
@@ -113,47 +113,49 @@ def mod_inv(a: int, m: int) -> int:
         raise NonInvertibleError(f"value has no inverse modulo a {_bits(m)} modulus") from None
 
 
-# Fixed-base exponentiation (HAC §14.6.3). A base's table at window W is one
-# flat tuple whose entry (i << W) + d is b^(d * 2^(W*i)) for every W-bit digit d
-# of ceil(bits(q)/W) rows i, so b^e for 0 <= e < q is one product of entries,
-# one per digit of e. g's table (window 6, ~0.75 MB at 2048/224) is pinned on
-# its group; any other element that keeps coming back (a member's key, the
-# signer's key, the w a quorum unmasks) earns one at window 2.
-_G_WINDOW = 6
-_KEY_WINDOW = 2
+# Fixed-base exponentiation by a Lim-Lee comb (HAC §14.6.3, Alg. 14.117). With
+# h teeth and a = ceil(bits(q)/h) columns, entry d of a base's table is the
+# product of b^(2^(a*t)) over the set bits t of d. Laid out as h rows of a bits,
+# an exponent 0 <= e < q is a columns of h-bit digits, so b^e takes a squarings
+# and one entry per nonzero column. g's table (11 teeth: 2048 entries, 616 KiB
+# at 2048/224) is pinned on its group; any other element that keeps coming back
+# (a member's key, the signer's key, the w a quorum unmasks) earns one of 8 teeth
+# (256 entries: 77 KiB at 2048/224, 26 KiB at 512/160).
+_G_TEETH = 11
+_KEY_TEETH = 8
 
-# A table is built on its base's Nth exponentiation, once it would have paid
-# for itself. Build cost / saving per call against builtin pow on Python 3.11
-# (2 cores, x86-64): g ~50 ms / ~3.3 ms at 2048/224 and ~3.5 ms / ~0.26 ms at
-# 512/160; a key ~6 ms / ~2.3 ms and ~0.5 ms / ~0.15 ms. A one-shot CLI
-# command does at most three per base and never builds one.
+# A table is built on its base's Nth exponentiation, once it has paid for
+# itself. Build cost / saving per call against builtin pow (Python 3.11, 2-core
+# x86-64): g ~22 ms / ~2 ms at 2048/224 and ~2 ms / ~0.14 ms at 512/160; a key
+# ~4.2 ms / ~1.8 ms and ~0.4 ms / ~0.14 ms. No CLI command builds g's table; only
+# gdecrypt with k >= 3 (its w) and replay-example (its toy signer key) build one.
 _G_TABLE_AFTER = 15
+_KEY_TABLE_AFTER = 3
 
-# Per group, the live bytes of element tables (25 KiB a key at 512/160, 102 KiB
-# at 2048/224) stay under this cap: a 64-member directory, its signer and one w
-# fit, or 17 keys at 2048/224. A collected element's table returns its bytes,
-# inside whatever code runs at that moment, hence a reentrant lock.
+# Per group, the live bytes of element tables stay under this cap: a 64-member
+# directory, its signer and one w fit (69 keys at 512/160), or 23 keys at
+# 2048/224. A collected element's table returns its bytes, inside whatever code
+# runs at that moment, hence a reentrant lock.
 _TABLE_BYTES_CAP = 7 << 18
 _TABLE_LOCK = threading.RLock()
 
 
-def _fixed_base_table(base: int, p: int, q: int, window: int) -> tuple[int, ...]:
-    table: list[int] = []
-    for _ in range(-(-q.bit_length() // window)):
-        table += (1, base)
-        for _ in range(2, 1 << window):
-            table.append(table[-1] * base % p)
-        base = table[-1] * base % p
+def _fixed_base_table(base: int, p: int, q: int, teeth: int) -> tuple[int, ...]:
+    table, columns = [1], -(-q.bit_length() // teeth)
+    for _ in range(teeth):
+        table += [entry * base % p for entry in table]
+        base = pow(base, 1 << columns, p)
     return tuple(table)
 
 
-def _table_pow(table: tuple[int, ...], e: int, p: int, window: int) -> int:
+def _table_pow(table: tuple[int, ...], e: int, p: int, q: int, teeth: int) -> int:
     """b^e mod p from b's table, for 0 <= e < q."""
-    result, mask = 1, (1 << window) - 1
-    for row in range(0, len(table), 1 << window):
-        if digit := e & mask:
-            result = result * table[row + digit] % p
-        e >>= window
+    columns = -(-q.bit_length() // teeth)
+    bits, result = format(e, f"0{columns * teeth}b"), 1
+    for column in range(columns):  # bits[column::columns] is one column, top tooth first
+        result = result * result % p
+        if digit := int(bits[column::columns], 2):
+            result = result * table[digit] % p
     return result
 
 
@@ -166,8 +168,10 @@ def _reserve(group: "SchnorrGroup", nbytes: int) -> bool:
         return total <= _TABLE_BYTES_CAP
 
 
-def _earned_table(owner: object, base: "GroupElement", window: int) -> Optional[tuple[int, ...]]:
-    """`owner`'s table for `base` from its _G_TABLE_AFTER-th use on, else None.
+def _earned_table(
+    owner: object, base: "GroupElement", after: int, teeth: int
+) -> Optional[tuple[int, ...]]:
+    """`owner`'s table for `base` from its `after`-th use on, else None.
 
     Count and table live in the owner's __dict__, outside the dataclass fields
     that equality, hashing and repr read. An element reserves its table's bytes
@@ -178,16 +182,15 @@ def _earned_table(owner: object, base: "GroupElement", window: int) -> Optional[
     table = state.get(prefix + "table")
     if table is None:
         uses = state[prefix + "uses"] = state.get(prefix + "uses", 0) + 1
-        if uses < _G_TABLE_AFTER:
+        if uses < after:
             return None
-        if owner is not group:
-            rows = -(-group.q.bit_length() // window)
-            size = sys.getsizeof((1,) * (rows << window))  # the tuple; all rows share 1
-            nbytes = size + rows * ((1 << window) - 1) * sys.getsizeof(group.p)
+        if owner is not group:  # the tuple, and every entry but the first, which is 1
+            entries = 1 << teeth
+            nbytes = sys.getsizeof((1,) * entries) + (entries - 1) * sys.getsizeof(group.p)
             if not _reserve(group, nbytes):
                 return None
             weakref.finalize(owner, _reserve, group, -nbytes)
-        table = state[prefix + "table"] = _fixed_base_table(base.value, group.p, group.q, window)
+        table = state[prefix + "table"] = _fixed_base_table(base.value, group.p, group.q, teeth)
     return table
 
 
@@ -202,6 +205,11 @@ def _check_parameters(p: int, q: int, g: int) -> None:
         raise BadGeneratorError(f"{_bits(g)} generator g outside [2, p-1] ({_bits(p)} p)")
     if pow(g, q, p) != 1:
         raise BadGeneratorError(f"generator g does not have order q ({_bits(q)} q)")
+
+
+def _fields_only(self: object) -> dict:
+    """Pickle and copy state: the dataclass fields, never a table, its use count or bytes."""
+    return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,8 @@ class SchnorrGroup:
 
     def __post_init__(self) -> None:
         _check_parameters(self.p, self.q, self.g)
+
+    __getstate__ = _fields_only  # unpickling restores it without validating again
 
     @property
     def generator(self) -> "GroupElement":
@@ -307,6 +317,8 @@ class GroupElement:
         if not 1 <= self.value <= self.group.p - 1:
             raise ValueError(f"{_bits(self.value)} element outside [1, p-1]")
 
+    __getstate__ = _fields_only
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
@@ -322,13 +334,13 @@ class GroupElement:
             exponent = exponent.value
         if self.value == group.g:  # g has order q, so any exponent may be reduced
             exponent %= group.q
-            owner, window = group, _G_WINDOW
+            owner, after, teeth = group, _G_TABLE_AFTER, _G_TEETH
         else:  # never reduced: an element need not lie in the subgroup
-            owner, window = self, _KEY_WINDOW
-        table = _earned_table(owner, self, window) if 0 <= exponent < group.q else None
+            owner, after, teeth = self, _KEY_TABLE_AFTER, _KEY_TEETH
+        table = _earned_table(owner, self, after, teeth) if 0 <= exponent < group.q else None
         if table is None:
             return GroupElement(pow(self.value, exponent, group.p), group)
-        return GroupElement(_table_pow(table, exponent, group.p, window), group)
+        return GroupElement(_table_pow(table, exponent, group.p, group.q, teeth), group)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(mod_inv(self.value, self.group.p), self.group)
@@ -365,8 +377,7 @@ def keygen(group: SchnorrGroup, rng: Optional[random.Random] = None) -> KeyPair:
 
     Zero is excluded: x = 0 would publish the degenerate key y = 1.
     """
-    rng = rng or _sysrand
-    return KeyPair.from_private(group, rng.randrange(1, group.q))
+    return KeyPair.from_private(group, (rng or _sysrand).randrange(1, group.q))
 
 
 def generate_group(
@@ -400,12 +411,11 @@ def generate_group(
             )
 
     while True:
-        q = 0
-        while not q:
+        while True:
             _spend()
-            candidate = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
-            if is_probable_prime(candidate):
-                q = candidate
+            q = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
+            if is_probable_prime(q):
+                break
 
         # p = q*t + 1 with t even (keeps p odd) and p exactly p_bits bits
         t_lo = ((1 << (p_bits - 1)) - 1) // q + 1
@@ -414,15 +424,12 @@ def generate_group(
         half_hi = t_hi // 2
         if half_hi < half_lo:
             continue
-        p = 0
         for _ in range(8 * p_bits):
             _spend()
-            t = 2 * rng.randrange(half_lo, half_hi + 1)
-            candidate = q * t + 1
-            if is_probable_prime(candidate):
-                p = candidate
+            p = q * 2 * rng.randrange(half_lo, half_hi + 1) + 1
+            if is_probable_prime(p):
                 break
-        if not p:
+        else:
             continue  # unlucky q; restart with a fresh one
 
         cofactor = (p - 1) // q

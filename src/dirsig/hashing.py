@@ -11,14 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping, Tuple
 
-from .canonical import (
-    decimal_to_int,
-    fields,
-    hex_to_bytes,
-    hex_to_int,
-    list_field,
-    load_json,
-)
+from .canonical import decimal_to_int, fields, hex_to_bytes, hex_to_int, list_field, load_json
 from .group import GroupElement, Scalar
 
 

@@ -1,7 +1,7 @@
 """Per-element fixed-base tables agree with builtin pow and stay within budget.
 
 Any element other than g counts its exponentiations by an exponent in
-[0, q-1] and builds its own table on the `_G_TABLE_AFTER`-th, while its
+[0, q-1] and builds its own table on the `_KEY_TABLE_AFTER`-th, while its
 group's live-table bytes stay under `_TABLE_BYTES_CAP`. The table holds
 actual powers of the element's value, never reduced mod q, so it must give
 builtin pow's answer for every base in [1, p-1], subgroup member or not.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirsig.group import _G_TABLE_AFTER, _TABLE_BYTES_CAP, GroupElement, SchnorrGroup, keygen
+from dirsig.group import _KEY_TABLE_AFTER, _TABLE_BYTES_CAP, GroupElement, SchnorrGroup, keygen
 
 
 def fresh(group):
@@ -58,7 +58,7 @@ def check_across_build(element, ints):
         for exponent in (e, group.scalar(e)):
             uses += 0 <= int(exponent) < group.q
             assert (element ** exponent).value == pow(element.value, int(exponent), group.p)
-            assert has_table(element) == (uses >= _G_TABLE_AFTER)
+            assert has_table(element) == (uses >= _KEY_TABLE_AFTER)
 
 
 def edges(q):
@@ -71,7 +71,7 @@ def edges(q):
 def test_repeated_base_matches_pow_across_its_build(which, toy_group, big_group, data):
     group = toy_group if which == "toy" else big_group
     element = GroupElement(data.draw(bases(group)), group)
-    drawn = data.draw(st.lists(exponents(group.q), min_size=_G_TABLE_AFTER, max_size=30))
+    drawn = data.draw(st.lists(exponents(group.q), min_size=_KEY_TABLE_AFTER, max_size=30))
     check_across_build(element, drawn + edges(group.q))
     assert has_table(element)
 
@@ -87,7 +87,7 @@ def test_every_toy_base_and_non_member_edges(which, toy_group, big_group):
 
 def test_non_member_odd_power_is_not_reduced(toy_group):
     minus_one = GroupElement(22, toy_group)  # order 2: outside the order-11 subgroup
-    for _ in range(2 * _G_TABLE_AFTER):
+    for _ in range(2 * _KEY_TABLE_AFTER):
         assert (minus_one ** 11).value == 22
         assert (minus_one ** toy_group.scalar(10)).value == 1
         assert (minus_one ** toy_group.scalar(5)).value == 22
@@ -99,7 +99,7 @@ def test_table_does_not_change_identity(which, toy_group, big_group):
     group = toy_group if which == "toy" else big_group
     value = 2 if which == "toy" else keygen(group).y.value
     with_table = GroupElement(value, group)
-    for e in range(_G_TABLE_AFTER):
+    for e in range(_KEY_TABLE_AFTER):
         with_table ** (e % group.q)
     assert has_table(with_table)
     plain = GroupElement(value, group)
@@ -113,14 +113,14 @@ def test_short_lived_bases_give_their_bytes_back(big_group):
     group = fresh(big_group)
     for i in range(200):
         transient = keygen(group).y
-        for e in range(_G_TABLE_AFTER + 1):
+        for e in range(_KEY_TABLE_AFTER + 1):
             transient ** e
         assert has_table(transient), f"base {i} found the budget full"
         assert 0 < live_bytes(group) <= _TABLE_BYTES_CAP
         del transient
         assert live_bytes(group) == 0
     key = keygen(group).y
-    for e in range(_G_TABLE_AFTER):
+    for e in range(_KEY_TABLE_AFTER):
         key ** e
     assert has_table(key)
 
@@ -130,7 +130,7 @@ def test_live_tables_stop_at_the_cap(big_group):
     keys = []
     for _ in range(100):
         key = keygen(group).y
-        for e in range(_G_TABLE_AFTER + 2):
+        for e in range(_KEY_TABLE_AFTER + 2):
             assert (key ** e).value == pow(key.value, e, group.p)
         assert live_bytes(group) <= _TABLE_BYTES_CAP
         keys.append(key)
@@ -152,7 +152,7 @@ def test_threads_never_pass_the_cap(big_group):
 
     def work(mine):
         for key in mine:
-            for e in range(_G_TABLE_AFTER + 1):
+            for e in range(_KEY_TABLE_AFTER + 1):
                 assert (key ** e).value == pow(key.value, e, group.p)
             peak.append(live_bytes(group))
 
