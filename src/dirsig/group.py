@@ -119,8 +119,9 @@ def mod_inv(a: int, m: int) -> int:
 # an exponent 0 <= e < q is a columns of h-bit digits, so b^e takes a squarings
 # and one entry per nonzero column. g's table (11 teeth: 2048 entries, 616 KiB
 # at 2048/224) is pinned on its group; any other element that keeps coming back
-# (a member's key, the signer's key, the w a quorum unmasks) earns one of 8 teeth
-# (256 entries: 77 KiB at 2048/224, 26 KiB at 512/160).
+# (a member's key, the signer's key, the w a quorum unmasks) earns one of at most
+# 8 teeth (256 entries: 77 KiB at 2048/224, 26 KiB at 512/160), and of at least 2:
+# a 1-tooth comb is slower than builtin pow.
 _G_TEETH = 11
 _KEY_TEETH = 8
 
@@ -132,10 +133,12 @@ _KEY_TEETH = 8
 _G_TABLE_AFTER = 15
 _KEY_TABLE_AFTER = 3
 
-# Per group, the live bytes of element tables stay under this cap: a 64-member
-# directory, its signer and one w fit (69 keys at 512/160), or 23 keys at
-# 2048/224. A collected element's table returns its bytes, inside whatever code
-# runs at that moment, hence a reentrant lock.
+# Per group, the live bytes of element tables stay under this cap, shared among
+# the live elements (raised by an exponent in [0, q-1] and not yet collected): an
+# element builds the most teeth at which every live element could hold a table that
+# size, and keeps it. 69 keys fit 8 teeth at 512/160, 256 keys 4 teeth at 2048/224.
+# A collected element gives back its count and its table's bytes, inside whatever
+# code runs at that moment, hence a reentrant lock.
 _TABLE_BYTES_CAP = 7 << 18
 _TABLE_LOCK = threading.RLock()
 
@@ -168,26 +171,47 @@ def _reserve(group: "SchnorrGroup", nbytes: int) -> bool:
         return total <= _TABLE_BYTES_CAP
 
 
+def _count_live(group: "SchnorrGroup", change: int) -> None:
+    with _TABLE_LOCK:
+        group.__dict__["_live"] = group.__dict__.get("_live", 0) + change
+
+
+def _share(group: "SchnorrGroup", most: int) -> tuple[int, int]:
+    """The most teeth, 2 to `most`, at which a table for every live element fits under the
+    cap, with one table's bytes (the tuple, and every entry but the first, which is 1)."""
+    live = group.__dict__.get("_live", 0)
+    for teeth in range(most, 1, -1):
+        entries = 1 << teeth
+        nbytes = sys.getsizeof((1,) * entries) + (entries - 1) * sys.getsizeof(group.p)
+        if live * nbytes <= _TABLE_BYTES_CAP:
+            return teeth, nbytes
+    return 0, 0
+
+
 def _earned_table(
     owner: object, base: "GroupElement", after: int, teeth: int
 ) -> Optional[tuple[int, ...]]:
     """`owner`'s table for `base` from its `after`-th use on, else None.
 
     Count and table live in the owner's __dict__, outside the dataclass fields
-    that equality, hashing and repr read. An element reserves its table's bytes
-    before the build, so under threads a lost count or a second build costs time.
+    that equality, hashing and repr read. An element counts itself live before it
+    stores its first use, then builds its share of at most `teeth` and reserves
+    the bytes first, so under threads a lost count or a second build costs time.
     """
     group, state = base.group, owner.__dict__
     prefix = "_g_" if owner is group else "_"
     table = state.get(prefix + "table")
     if table is None:
-        uses = state[prefix + "uses"] = state.get(prefix + "uses", 0) + 1
+        uses = state.get(prefix + "uses", 0) + 1
+        if uses == 1 and owner is not group:
+            _count_live(group, 1)
+            weakref.finalize(owner, _count_live, group, -1)
+        state[prefix + "uses"] = uses
         if uses < after:
             return None
-        if owner is not group:  # the tuple, and every entry but the first, which is 1
-            entries = 1 << teeth
-            nbytes = sys.getsizeof((1,) * entries) + (entries - 1) * sys.getsizeof(group.p)
-            if not _reserve(group, nbytes):
+        if owner is not group:
+            teeth, nbytes = _share(group, teeth)
+            if not teeth or not _reserve(group, nbytes):
                 return None
             weakref.finalize(owner, _reserve, group, -nbytes)
         table = state[prefix + "table"] = _fixed_base_table(base.value, group.p, group.q, teeth)
@@ -208,7 +232,7 @@ def _check_parameters(p: int, q: int, g: int) -> None:
 
 
 def _fields_only(self: object) -> dict:
-    """Pickle and copy state: the dataclass fields, never a table, its use count or bytes."""
+    """Pickle and copy state: the dataclass fields, never a table, a count or bytes."""
     return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
@@ -340,6 +364,7 @@ class GroupElement:
         table = _earned_table(owner, self, after, teeth) if 0 <= exponent < group.q else None
         if table is None:
             return GroupElement(pow(self.value, exponent, group.p), group)
+        teeth = len(table).bit_length() - 1  # an element's share may be below its ceiling
         return GroupElement(_table_pow(table, exponent, group.p, group.q, teeth), group)
 
     def inverse(self) -> "GroupElement":
