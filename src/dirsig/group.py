@@ -4,8 +4,10 @@ All protocol math lives in the order-q subgroup of Z_p*, with exponents in
 Z_q. `Scalar` and `GroupElement` are immutable values tagged with their
 group, so mixed-group arithmetic fails loudly instead of silently wrapping.
 
-Arithmetic is best-effort only with respect to timing side channels; this
-toolkit does not attempt constant-time big-integer operations.
+Arithmetic is best-effort only with respect to timing side channels: an
+untabled exponentiation runs in OpenSSL's constant-time Montgomery code
+(`_modexp`), but comb walks and all other big-integer operations do not
+attempt constant time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import threading
 import weakref
 from dataclasses import dataclass, fields
 from typing import Optional, Union
+
+from cryptography.exceptions import UnsupportedAlgorithm
+from cryptography.hazmat.primitives.serialization import load_der_private_key
 
 
 class GroupParameterError(ValueError):
@@ -65,6 +70,39 @@ def _sieve(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _sieve(2000)
 
 
+# OpenSSL exponentiates through a DH private key: loading PKCS#8 key x with
+# parameters (n, b) computes its public value b^x mod n by Montgomery's method
+# (Math. Comp. 1985), in constant time in x. It takes an odd n of 512 to 10000
+# bits; below that the loader raises ValueError, above it or for an even n the
+# kernel raises InternalError, so those inputs never reach it.
+_DH_OID = bytes.fromhex("06092a864886f70d010301")  # 1.2.840.113549.1.3.1, dhKeyAgreement
+
+
+def _der(tag: int, content: bytes) -> bytes:
+    size = len(content)
+    if size < 0x80:
+        return bytes((tag, size)) + content
+    length = size.to_bytes((size.bit_length() + 7) // 8, "big")
+    return bytes((tag, 0x80 | len(length))) + length + content
+
+
+def _der_int(value: int) -> bytes:
+    """A DER INTEGER for value >= 0, with the sign byte it needs."""
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
+
+
+def _modexp(base: int, e: int, n: int) -> int:
+    """base^e mod n, on OpenSSL's kernel where it takes the input, else builtin pow."""
+    if n & 1 and 512 <= n.bit_length() <= 10_000 and e >= 0:
+        parameters = _der(0x30, _der_int(n) + _der_int(base % n))
+        der = _der(0x30, _der_int(0) + _der(0x30, _DH_OID + parameters) + _der(0x04, _der_int(e)))
+        try:
+            return load_der_private_key(der, None).public_key().public_numbers().y
+        except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
+            pass
+    return pow(base, e, n)
+
+
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
     """Miller-Rabin primality test; false positives occur w.p. <= 4**-rounds."""
     if n < 2:
@@ -82,7 +120,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
         r += 1
     for _ in range(rounds):
         a = _sysrand.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _modexp(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
@@ -121,15 +159,19 @@ def mod_inv(a: int, m: int) -> int:
 # at 2048/224) is pinned on its group; any other element that keeps coming back
 # (a member's key, the signer's key, the w a quorum unmasks) earns one of at most
 # 8 teeth (256 entries: 77 KiB at 2048/224, 26 KiB at 512/160), and of at least 2:
-# a 1-tooth comb is slower than builtin pow.
+# a 1-tooth comb is slower than builtin pow, which toy groups still use.
 _G_TEETH = 11
 _KEY_TEETH = 8
 
-# A table is built on its base's Nth exponentiation, once it has paid for
-# itself. Build cost / saving per call against builtin pow (Python 3.11, 2-core
-# x86-64): g ~22 ms / ~2 ms at 2048/224 and ~2 ms / ~0.14 ms at 512/160; a key
-# ~4.2 ms / ~1.8 ms and ~0.4 ms / ~0.14 ms. No CLI command builds g's table; only
-# gdecrypt with k >= 3 (its w) and replay-example (its toy signer key) build one.
+# A table is built on its base's Nth exponentiation, once it would have paid for
+# itself against builtin pow. Build cost / saving per call against builtin pow
+# (Python 3.11, 2-core x86-64): g ~22 ms / ~2 ms at 2048/224 and ~2 ms / ~0.14 ms
+# at 512/160; a key ~4.2 ms / ~1.8 ms and ~0.4 ms / ~0.14 ms. Against `_modexp`,
+# which takes every untabled power from 512 bits on, no walk saves time: on the
+# same host the kernel takes ~0.6 ms at 2048/224, g's walk about as long and a
+# 4-teeth key walk ~1.8 ms; at 512/160 ~0.05-0.07 ms, an 8-teeth walk ~0.08 ms.
+# No CLI command builds g's table; only gdecrypt with k >= 3 (its w) and
+# replay-example (its toy signer key) build one.
 _G_TABLE_AFTER = 15
 _KEY_TABLE_AFTER = 3
 
@@ -227,7 +269,7 @@ def _check_parameters(p: int, q: int, g: int) -> None:
         raise OrderNotDividingError(f"{_bits(q)} q does not divide p - 1 ({_bits(p)} p)")
     if not 2 <= g <= p - 1:
         raise BadGeneratorError(f"{_bits(g)} generator g outside [2, p-1] ({_bits(p)} p)")
-    if pow(g, q, p) != 1:
+    if _modexp(g, q, p) != 1:
         raise BadGeneratorError(f"generator g does not have order q ({_bits(q)} q)")
 
 
@@ -269,7 +311,7 @@ class SchnorrGroup:
         this check is for values crossing a trust boundary (files, wire).
         """
         elem = GroupElement(value, self)
-        if pow(value, self.q, self.p) != 1:
+        if _modexp(value, self.q, self.p) != 1:
             raise NotInSubgroupError(f"{_bits(value)} value is not in the order-q subgroup")
         return elem
 
@@ -363,7 +405,7 @@ class GroupElement:
             owner, after, teeth = self, _KEY_TABLE_AFTER, _KEY_TEETH
         table = _earned_table(owner, self, after, teeth) if 0 <= exponent < group.q else None
         if table is None:
-            return GroupElement(pow(self.value, exponent, group.p), group)
+            return GroupElement(_modexp(self.value, exponent, group.p), group)
         teeth = len(table).bit_length() - 1  # an element's share may be below its ceiling
         return GroupElement(_table_pow(table, exponent, group.p, group.q, teeth), group)
 
@@ -461,6 +503,6 @@ def generate_group(
         while True:
             _spend()
             k = rng.randrange(2, p - 1)
-            g = pow(k, cofactor, p)
+            g = _modexp(k, cofactor, p)
             if g > 1:
                 return SchnorrGroup(p, q, g)

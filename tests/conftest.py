@@ -15,6 +15,11 @@ from dirsig import FixtureHash, GroupDirectory, GroupMember, KeyPair, SchnorrGro
 
 MSG = b"message"
 
+# A Chernick Carmichael number (6k+1)(12k+1)(18k+1) of 512 bits: its three
+# factors are prime, so it passes a Fermat test to every base prime to it.
+CHERNICK_K = (1 << 167) + 293533
+CARMICHAEL_512 = (6 * CHERNICK_K + 1) * (12 * CHERNICK_K + 1) * (18 * CHERNICK_K + 1)
+
 # The arithmetic properties (Shamir kernels, per-element tables) leave their
 # example count to the profile. HYPOTHESIS_PROFILE=ci, which CI's tier-1 step
 # sets, runs twice the default and derandomizes, so a CI failure replays.

@@ -5,8 +5,11 @@ accepts it, and then the artifact re-encodes to exactly that document.
 The CLI, fed mutated files, exits 0, 2 or 3, never 4.
 """
 
+import contextlib
+import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,13 +18,14 @@ from hypothesis import strategies as st
 from dirsig import FixtureHash, serialize
 from dirsig.cli import main
 from dirsig.directed import prove_by_receiver, prove_by_signer, sign_directed, verify_directed
+from dirsig.group import is_probable_prime
 from dirsig.keystore import Keystore
 from dirsig.schnorr import schnorr_sign
 from dirsig.shamir import Share
 from dirsig.threshold import ModifiedShadow, PartialResult, sign_for_group
 from dirsig.threshold_crypto import encrypt_to_group
 
-from conftest import MSG
+from conftest import CARMICHAEL_512, MSG
 
 # Plain JSON values, plus strings that pass or nearly pass the canonical
 # hex check, so mutations also reach the range and subgroup checks.
@@ -209,3 +213,37 @@ def test_cli_exits_cleanly_on_mutated_inputs(cli_env, data):
     for valid, argv in cases:
         fuzzed.write_text(json.dumps(_mutate(valid, data)))
         assert main(argv) in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def kernel_env(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kernel_fuzz")
+    return root / "group.json", ["keygen", "k", "--group", str(root / "group.json"),
+                                 "--keystore", str(root), "--seed", "5"]
+
+
+def _next_prime(n):
+    n |= 1
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+@_FUZZ
+@given(data=st.data())
+def test_cli_exits_cleanly_on_kernel_sized_groups(kernel_env, big_group, data):
+    """Group files whose odd p has 512-600 bits, so validation runs on the OpenSSL
+    kernel: p prime or composite, q valid or not, g inside or outside [2, p-1]."""
+    path, argv = kernel_env
+    bits = data.draw(st.integers(512, 600))
+    odd = data.draw(st.integers(1 << (bits - 1), 3 << (bits - 2))) | 1
+    p = data.draw(st.sampled_from([big_group.p, _next_prime(odd), odd, CARMICHAEL_512]))
+    q = data.draw(st.sampled_from([2, big_group.q]) | st.integers(2, 1 << 160))
+    g = data.draw(st.sampled_from([0, 1, big_group.g, p - 1, p, p + 1]) | st.integers(2, p - 1))
+    path.write_text(json.dumps({name: format(v, "x") for name, v in zip("pqg", (p, q, g))}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    # no 20 digits in a row: neither p nor a piece of it, in decimal or in hex
+    assert not re.search("[0-9a-f]{20}", err.getvalue())

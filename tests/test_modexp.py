@@ -1,0 +1,125 @@
+"""`_modexp`, the OpenSSL Montgomery kernel behind every untabled exponentiation.
+
+It must give builtin pow's answer on every input: prime and composite odd
+moduli, exponents at and beyond q and p, bases at 0, 1, p-1, p and outside
+the subgroup. Inputs the kernel does not take (an even modulus, one outside
+512-10000 bits, a negative exponent) must reach builtin pow without calling
+the loader, and the inputs it does take must really reach it, so that a
+silent fallback to the slow path fails here.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dirsig.group
+from dirsig.group import GroupElement, SchnorrGroup, _modexp, generate_group, is_probable_prime
+
+from conftest import CARMICHAEL_512, CHERNICK_K
+
+
+@pytest.fixture(scope="module")
+def group_2048():
+    return generate_group(2048, 224, random.Random(2048))
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """Counts the loader's calls ("tried") and the keys it returned ("loaded")."""
+    calls = Counter()
+    original = dirsig.group.load_der_private_key
+
+    def counting_load(*args, **kwargs):
+        calls["tried"] += 1
+        key = original(*args, **kwargs)
+        calls["loaded"] += 1
+        return key
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", counting_load)
+    return calls
+
+
+def _exponents(group):
+    p, q = group.p, group.q
+    return (0, 1, q - 1, q, q + 1, p - 1, p, 1 << 4096)
+
+
+def _bases(group):
+    p, q, g = group.p, group.q, group.g
+    member = pow(g, q // 3, p)
+    non_member = next(b for b in range(2, 100) if pow(b, q, p) != 1)
+    return (0, 1, p - 1, p, member, non_member)
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_kernel_equals_pow_at_the_edges(big_group, group_2048, size):
+    group = big_group if size == "512/160" else group_2048
+    for e in _exponents(group):
+        for base in _bases(group):
+            assert _modexp(base, e, group.p) == pow(base, e, group.p), (e.bit_length(), base)
+
+
+def test_kernel_equals_pow_modulo_composites(big_group):
+    for n in (big_group.p * big_group.q, CARMICHAEL_512):
+        assert n.bit_length() >= 512 and n % 2 == 1
+        for e in (*_exponents(big_group), n - 1, n):
+            for base in (0, 1, 2, n - 1, n, big_group.g, 6 * CHERNICK_K + 1):
+                assert _modexp(base, e, n) == pow(base, e, n)
+
+
+def test_carmichael_number_is_still_rejected():
+    factors = (6 * CHERNICK_K + 1, 12 * CHERNICK_K + 1, 18 * CHERNICK_K + 1)
+    assert all(is_probable_prime(f) for f in factors)
+    # a Fermat test to base 2 accepts it; Miller-Rabin must not
+    assert _modexp(2, CARMICHAEL_512 - 1, CARMICHAEL_512) == 1
+    assert not is_probable_prime(CARMICHAEL_512)
+
+
+@given(
+    n=st.integers(1 << 511, (1 << 2048) - 1).map(lambda n: n | 1),
+    base=st.integers(0, 1 << 2100),
+    e=st.integers(0, 1 << 600),
+)
+def test_kernel_equals_pow_on_random_odd_moduli(n, base, e):
+    assert _modexp(base, e, n) == pow(base, e, n)
+
+
+@pytest.mark.parametrize(
+    "base, e, n",
+    [
+        (3, 12345, (1 << 510) | 1),  # 511 bits: the loader refuses the key
+        (3, 12345, (1 << 10000) | 1),  # 10001 bits: the kernel raises
+        (3, 12345, 1 << 600),  # even: Montgomery needs an odd modulus
+        (3, -5, (1 << 600) | 1),  # negative: not an exponent DER can carry
+    ],
+    ids=["511-bit", "10001-bit", "even", "negative-exponent"],
+)
+def test_inputs_outside_the_kernel_take_builtin_pow(loads, base, e, n):
+    assert _modexp(base, e, n) == pow(base, e, n)
+    assert loads["tried"] == 0
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_validation_and_untabled_powers_run_on_the_kernel(big_group, group_2048, loads, size):
+    group = big_group if size == "512/160" else group_2048
+    fresh = SchnorrGroup(group.p, group.q, group.g)
+    # 64 Miller-Rabin rounds on p and g^q; q has under 512 bits and keeps builtin pow
+    assert loads == {"tried": 65, "loaded": 65}
+    loads.clear()
+    member = fresh.element(pow(group.g, 5, group.p))
+    assert loads == {"tried": 1, "loaded": 1}
+    loads.clear()
+    e = random.Random(1).randrange(fresh.q)
+    assert (member ** e).value == pow(member.value, e, group.p)
+    assert (fresh.generator ** e).value == pow(group.g, e, group.p)
+    assert loads == {"tried": 2, "loaded": 2}
+    assert "_table" not in vars(member) and "_g_table" not in vars(fresh)
+
+
+def test_toy_groups_keep_builtin_pow(toy_group, loads):
+    SchnorrGroup(23, 11, 3)
+    assert (GroupElement(2, toy_group) ** 7).value == pow(2, 7, 23)
+    assert loads["tried"] == 0
