@@ -4,19 +4,16 @@ All protocol math lives in the order-q subgroup of Z_p*, with exponents in
 Z_q. `Scalar` and `GroupElement` are immutable values tagged with their
 group, so mixed-group arithmetic fails loudly instead of silently wrapping.
 
-Arithmetic is best-effort only with respect to timing side channels: an
-untabled exponentiation runs in OpenSSL's constant-time Montgomery code
-(`_modexp`), but comb walks and all other big-integer operations do not
-attempt constant time.
+Arithmetic is best-effort only with respect to timing side channels: every
+exponentiation modulo a p of 512 bits or more is one call to OpenSSL's
+constant-time Montgomery code (`_modexp`), but toy groups (builtin pow) and
+all other big-integer operations do not attempt constant time.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-import threading
-import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from cryptography.exceptions import UnsupportedAlgorithm
@@ -151,115 +148,6 @@ def mod_inv(a: int, m: int) -> int:
         raise NonInvertibleError(f"value has no inverse modulo a {_bits(m)} modulus") from None
 
 
-# Fixed-base exponentiation by a Lim-Lee comb (HAC §14.6.3, Alg. 14.117). With
-# h teeth and a = ceil(bits(q)/h) columns, entry d of a base's table is the
-# product of b^(2^(a*t)) over the set bits t of d. Laid out as h rows of a bits,
-# an exponent 0 <= e < q is a columns of h-bit digits, so b^e takes a squarings
-# and one entry per nonzero column. g's table (11 teeth: 2048 entries, 616 KiB
-# at 2048/224) is pinned on its group; any other element that keeps coming back
-# (a member's key, the signer's key, the w a quorum unmasks) earns one of at most
-# 8 teeth (256 entries: 77 KiB at 2048/224, 26 KiB at 512/160), and of at least 2:
-# a 1-tooth comb is slower than builtin pow, which toy groups still use.
-_G_TEETH = 11
-_KEY_TEETH = 8
-
-# A table is built on its base's Nth exponentiation, once it would have paid for
-# itself against builtin pow. Build cost / saving per call against builtin pow
-# (Python 3.11, 2-core x86-64): g ~22 ms / ~2 ms at 2048/224 and ~2 ms / ~0.14 ms
-# at 512/160; a key ~4.2 ms / ~1.8 ms and ~0.4 ms / ~0.14 ms. Against `_modexp`,
-# which takes every untabled power from 512 bits on, no walk saves time: on the
-# same host the kernel takes ~0.6 ms at 2048/224, g's walk about as long and a
-# 4-teeth key walk ~1.8 ms; at 512/160 ~0.05-0.07 ms, an 8-teeth walk ~0.08 ms.
-# No CLI command builds g's table; only gdecrypt with k >= 3 (its w) and
-# replay-example (its toy signer key) build one.
-_G_TABLE_AFTER = 15
-_KEY_TABLE_AFTER = 3
-
-# Per group, the live bytes of element tables stay under this cap, shared among
-# the live elements (raised by an exponent in [0, q-1] and not yet collected): an
-# element builds the most teeth at which every live element could hold a table that
-# size, and keeps it. 69 keys fit 8 teeth at 512/160, 256 keys 4 teeth at 2048/224.
-# A collected element gives back its count and its table's bytes, inside whatever
-# code runs at that moment, hence a reentrant lock.
-_TABLE_BYTES_CAP = 7 << 18
-_TABLE_LOCK = threading.RLock()
-
-
-def _fixed_base_table(base: int, p: int, q: int, teeth: int) -> tuple[int, ...]:
-    table, columns = [1], -(-q.bit_length() // teeth)
-    for _ in range(teeth):
-        table += [entry * base % p for entry in table]
-        base = pow(base, 1 << columns, p)
-    return tuple(table)
-
-
-def _table_pow(table: tuple[int, ...], e: int, p: int, q: int, teeth: int) -> int:
-    """b^e mod p from b's table, for 0 <= e < q."""
-    columns = -(-q.bit_length() // teeth)
-    bits, result = format(e, f"0{columns * teeth}b"), 1
-    for column in range(columns):  # bits[column::columns] is one column, top tooth first
-        result = result * result % p
-        if digit := int(bits[column::columns], 2):
-            result = result * table[digit] % p
-    return result
-
-
-def _reserve(group: "SchnorrGroup", nbytes: int) -> bool:
-    """Add nbytes (< 0 to release) to the group's live-table total, unless past the cap."""
-    with _TABLE_LOCK:
-        total = group.__dict__.get("_table_bytes", 0) + nbytes
-        if total <= _TABLE_BYTES_CAP:
-            group.__dict__["_table_bytes"] = total
-        return total <= _TABLE_BYTES_CAP
-
-
-def _count_live(group: "SchnorrGroup", change: int) -> None:
-    with _TABLE_LOCK:
-        group.__dict__["_live"] = group.__dict__.get("_live", 0) + change
-
-
-def _share(group: "SchnorrGroup", most: int) -> tuple[int, int]:
-    """The most teeth, 2 to `most`, at which a table for every live element fits under the
-    cap, with one table's bytes (the tuple, and every entry but the first, which is 1)."""
-    live = group.__dict__.get("_live", 0)
-    for teeth in range(most, 1, -1):
-        entries = 1 << teeth
-        nbytes = sys.getsizeof((1,) * entries) + (entries - 1) * sys.getsizeof(group.p)
-        if live * nbytes <= _TABLE_BYTES_CAP:
-            return teeth, nbytes
-    return 0, 0
-
-
-def _earned_table(
-    owner: object, base: "GroupElement", after: int, teeth: int
-) -> Optional[tuple[int, ...]]:
-    """`owner`'s table for `base` from its `after`-th use on, else None.
-
-    Count and table live in the owner's __dict__, outside the dataclass fields
-    that equality, hashing and repr read. An element counts itself live before it
-    stores its first use, then builds its share of at most `teeth` and reserves
-    the bytes first, so under threads a lost count or a second build costs time.
-    """
-    group, state = base.group, owner.__dict__
-    prefix = "_g_" if owner is group else "_"
-    table = state.get(prefix + "table")
-    if table is None:
-        uses = state.get(prefix + "uses", 0) + 1
-        if uses == 1 and owner is not group:
-            _count_live(group, 1)
-            weakref.finalize(owner, _count_live, group, -1)
-        state[prefix + "uses"] = uses
-        if uses < after:
-            return None
-        if owner is not group:
-            teeth, nbytes = _share(group, teeth)
-            if not teeth or not _reserve(group, nbytes):
-                return None
-            weakref.finalize(owner, _reserve, group, -nbytes)
-        table = state[prefix + "table"] = _fixed_base_table(base.value, group.p, group.q, teeth)
-    return table
-
-
 def _check_parameters(p: int, q: int, g: int) -> None:
     if p < 3 or not is_probable_prime(p):
         raise CompositeModulusError(f"{_bits(p)} modulus p is not prime")
@@ -271,11 +159,6 @@ def _check_parameters(p: int, q: int, g: int) -> None:
         raise BadGeneratorError(f"{_bits(g)} generator g outside [2, p-1] ({_bits(p)} p)")
     if _modexp(g, q, p) != 1:
         raise BadGeneratorError(f"generator g does not have order q ({_bits(q)} q)")
-
-
-def _fields_only(self: object) -> dict:
-    """Pickle and copy state: the dataclass fields, never a table, a count or bytes."""
-    return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -293,8 +176,6 @@ class SchnorrGroup:
 
     def __post_init__(self) -> None:
         _check_parameters(self.p, self.q, self.g)
-
-    __getstate__ = _fields_only  # unpickling restores it without validating again
 
     @property
     def generator(self) -> "GroupElement":
@@ -383,8 +264,6 @@ class GroupElement:
         if not 1 <= self.value <= self.group.p - 1:
             raise ValueError(f"{_bits(self.value)} element outside [1, p-1]")
 
-    __getstate__ = _fields_only
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
@@ -400,14 +279,8 @@ class GroupElement:
             exponent = exponent.value
         if self.value == group.g:  # g has order q, so any exponent may be reduced
             exponent %= group.q
-            owner, after, teeth = group, _G_TABLE_AFTER, _G_TEETH
-        else:  # never reduced: an element need not lie in the subgroup
-            owner, after, teeth = self, _KEY_TABLE_AFTER, _KEY_TEETH
-        table = _earned_table(owner, self, after, teeth) if 0 <= exponent < group.q else None
-        if table is None:
-            return GroupElement(_modexp(self.value, exponent, group.p), group)
-        teeth = len(table).bit_length() - 1  # an element's share may be below its ceiling
-        return GroupElement(_table_pow(table, exponent, group.p, group.q, teeth), group)
+        # never reduced otherwise: an element need not lie in the subgroup
+        return GroupElement(_modexp(self.value, exponent, group.p), group)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(mod_inv(self.value, self.group.p), self.group)

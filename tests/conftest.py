@@ -20,9 +20,9 @@ MSG = b"message"
 CHERNICK_K = (1 << 167) + 293533
 CARMICHAEL_512 = (6 * CHERNICK_K + 1) * (12 * CHERNICK_K + 1) * (18 * CHERNICK_K + 1)
 
-# The arithmetic properties (Shamir kernels, per-element tables) leave their
-# example count to the profile. HYPOTHESIS_PROFILE=ci, which CI's tier-1 step
-# sets, runs twice the default and derandomizes, so a CI failure replays.
+# The arithmetic properties (Shamir kernels, powers against builtin pow) leave
+# their example count to the profile. HYPOTHESIS_PROFILE=ci, which CI's tier-1
+# step sets, runs twice the default and derandomizes, so a CI failure replays.
 settings.register_profile("ci", derandomize=True, max_examples=200)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -1,12 +1,9 @@
 """Modular-exponentiation counts of every protocol step, split by base.
 
-Every exponentiation goes through `GroupElement.__pow__`, which takes
-builtin `pow` or, once a base has earned one, its fixed-base comb table.
-Counting calls there pins both the cost of each step and that the table
-path stays behind the operator, whatever the machine's timing noise; the
-last test pins how many entries one table walk reads. Membership checks on
-imported values use raw `pow` in `SchnorrGroup.element` and are not counted
-here.
+Every exponentiation goes through `GroupElement.__pow__`, which makes one
+`_modexp` call. Counting calls there pins the cost of each step, whatever
+the machine's timing noise. Membership checks on imported values call
+`_modexp` directly in `SchnorrGroup.element` and are not counted here.
 """
 
 import random
@@ -22,7 +19,7 @@ from dirsig.directed import (
     verify_as_third_party,
     verify_directed,
 )
-from dirsig.group import _G_TEETH, _KEY_TEETH, GroupElement, _fixed_base_table, _table_pow, keygen
+from dirsig.group import GroupElement, keygen
 from dirsig.shamir import Share, ShareIdError, ThresholdRangeError
 from dirsig.threshold import (
     GroupDirectory,
@@ -171,27 +168,3 @@ def test_member_weight_costs_one_inversion(big_group, pows, monkeypatch):
     assert inversions == [big_group.q]
     assert sum(pows.values()) == 0
 
-
-class CountingTable(tuple):
-    """A table that counts the entries a walk reads."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-@pytest.mark.parametrize("teeth, most", [(_KEY_TEETH, 20), (_G_TEETH, 15)])
-def test_a_table_walk_reads_one_entry_per_column(big_group, teeth, most):
-    """At 512/160 a key's comb has 20 columns and g's 15: no walk reads more entries."""
-    p, q = big_group.p, big_group.q
-    base = keygen(big_group, random.Random(7)).y.value
-    table = CountingTable(_fixed_base_table(base, p, q, teeth))
-    rng = random.Random(8)
-    reads = []
-    for e in [0, 1, q - 1] + [rng.randrange(q) for _ in range(50)]:
-        table.reads = 0
-        assert _table_pow(table, e, p, q, teeth) == pow(base, e, p)
-        reads.append(table.reads)
-    assert max(reads) == most and reads[:2] == [0, 1]

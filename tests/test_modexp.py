@@ -1,11 +1,12 @@
-"""`_modexp`, the OpenSSL Montgomery kernel behind every untabled exponentiation.
+"""`_modexp`, the OpenSSL Montgomery kernel behind every exponentiation.
 
 It must give builtin pow's answer on every input: prime and composite odd
 moduli, exponents at and beyond q and p, bases at 0, 1, p-1, p and outside
 the subgroup. Inputs the kernel does not take (an even modulus, one outside
 512-10000 bits, a negative exponent) must reach builtin pow without calling
 the loader, and the inputs it does take must really reach it, so that a
-silent fallback to the slow path fails here.
+silent fallback to the slow path, or a cache in front of the kernel, fails
+here.
 """
 
 import random
@@ -116,7 +117,26 @@ def test_validation_and_untabled_powers_run_on_the_kernel(big_group, group_2048,
     assert (member ** e).value == pow(member.value, e, group.p)
     assert (fresh.generator ** e).value == pow(group.g, e, group.p)
     assert loads == {"tried": 2, "loaded": 2}
-    assert "_table" not in vars(member) and "_g_table" not in vars(fresh)
+    assert vars(member) == {"value": member.value, "group": fresh}
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_every_power_is_one_kernel_call(big_group, group_2048, loads, size):
+    """However often a key or g is raised, no table or cache takes the kernel's place."""
+    group = big_group if size == "512/160" else group_2048
+    key = GroupElement(pow(group.g, 7, group.p), group)
+    rng = random.Random(20)
+    for element in (key, group.generator):
+        for _ in range(20):
+            loads.clear()
+            e = rng.randrange(group.q)
+            assert (element ** e).value == pow(element.value, e, group.p)
+            assert loads == {"tried": 1, "loaded": 1}
+    loads.clear()
+    assert (group.generator ** -1).value == pow(group.g, group.q - 1, group.p)
+    assert loads == {"tried": 1, "loaded": 1}
+    assert vars(key) == {"value": key.value, "group": group}
+    assert vars(group) == {"p": group.p, "q": group.q, "g": group.g}
 
 
 def test_toy_groups_keep_builtin_pow(toy_group, loads):
