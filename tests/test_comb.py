@@ -1,10 +1,11 @@
-"""Comb tables at their edges, when they are built, and what a copy carries.
+"""Powers at bit boundaries, one-shot flows, and what a copy carries.
 
-A table with h teeth reads an exponent as h rows of a = ceil(bits(q)/h)
-bits, one digit per column. The exponents 2^(a*t) - 1 and 2^(a*t) sit where
-tooth t's row meets the next, so they are where an off-by-one in the builder
-or the walker shows. `g` builds its table on its `_G_TABLE_AFTER`-th use and
-any other element on its `_KEY_TABLE_AFTER`-th.
+The exponents 2^k - 1 and 2^k are where an exponentiation that reads its
+exponent in windows or rows of bits (as the Lim-Lee comb tables that once
+served repeated bases did) shows an off-by-one. Every power is now one
+`_modexp` call, so these are checked on a fresh instance and again after it
+has been raised many times, and a raised, pickled or copied element or group
+holds only its fields. The test names are kept from those comb tables.
 """
 
 import copy
@@ -21,31 +22,19 @@ from dirsig.directed import (
     verify_as_third_party,
     verify_directed,
 )
-from dirsig.group import (
-    _G_TABLE_AFTER,
-    _G_TEETH,
-    _KEY_TABLE_AFTER,
-    _KEY_TEETH,
-    GroupElement,
-    SchnorrGroup,
-    _fixed_base_table,
-    _table_pow,
-    keygen,
-)
+from dirsig.group import GroupElement, _modexp, keygen
 
 from conftest import MSG
+from test_fixed_base import fresh
+from test_fixed_base import holds_only_its_fields as group_holds_only_its_fields
+from test_key_tables import holds_only_its_fields
 
 
-def fresh(group):
-    return SchnorrGroup(group.p, group.q, group.g)
-
-
-def comb_edges(q, teeth):
-    """0, 1, q - 1, and 2^(a*t) - 1 and 2^(a*t) for every tooth boundary t."""
-    columns = -(-q.bit_length() // teeth)
+def bit_edges(q):
+    """0, 1, q - 1, and 2^k - 1 and 2^k for every k up to the bit length of q."""
     edges = {0, 1, q - 1}
-    for tooth in range(teeth + 1):
-        edges |= {(1 << (columns * tooth)) - 1, 1 << (columns * tooth)}
+    for k in range(q.bit_length() + 1):
+        edges |= {(1 << k) - 1, 1 << k}
     return sorted(edges)
 
 
@@ -54,66 +43,42 @@ def non_member(group):
     return next(v for v in range(2, group.p - 1) if pow(v, group.q, group.p) != 1)
 
 
-def table_of(owner):
-    return vars(owner).get("_g_table" if isinstance(owner, SchnorrGroup) else "_table")
-
-
 @pytest.mark.parametrize("which", ["toy", "big"])
 def test_generator_at_comb_edges_before_and_after_the_build(which, toy_group, big_group):
     group = toy_group if which == "toy" else big_group
-    edges = comb_edges(group.q, _G_TEETH)
-    for e in edges:  # a fresh instance per exponent: every call takes builtin pow
-        before = fresh(group)
-        assert (before.generator ** e).value == pow(group.g, e, group.p)
-        assert table_of(before) is None
-    after = fresh(group)
-    for _ in range(_G_TABLE_AFTER):
-        after.generator ** 1
-    assert table_of(after) is not None
-    for e in edges:
-        assert (after.generator ** e).value == pow(group.g, e, group.p)
+    raised = fresh(group)
+    for _ in range(2):  # on a fresh group, then after many powers of its g
+        for e in bit_edges(group.q):
+            assert (raised.generator ** e).value == pow(group.g, e, group.p)
+        assert group_holds_only_its_fields(raised)
 
 
 @pytest.mark.parametrize("which", ["toy", "big"])
 def test_non_member_at_comb_edges_before_and_after_the_build(which, toy_group, big_group):
     group = toy_group if which == "toy" else big_group
     value = non_member(group)
-    edges = comb_edges(group.q, _KEY_TEETH)
-    for e in edges:
-        before = GroupElement(value, group)
-        assert (before ** e).value == pow(value, e, group.p)
-        assert table_of(before) is None
-    after = GroupElement(value, fresh(group))
-    for _ in range(_KEY_TABLE_AFTER):
-        after ** 1
-    assert table_of(after) is not None
-    for e in edges:  # exponents >= q take builtin pow, unreduced
-        assert (after ** e).value == pow(value, e, group.p)
+    raised = GroupElement(value, fresh(group))
+    for _ in range(2):  # on a fresh element, then after many powers of it
+        for e in bit_edges(group.q) + [group.q, 2 * group.q + 1]:  # never reduced mod q
+            assert (raised ** e).value == pow(value, e, group.p)
+        assert holds_only_its_fields(raised)
 
 
 def test_comb_widths_at_2048_224():
-    """The comb's arithmetic holds modulo any integer, so the 2048/224 widths are
-    checked on the builder and walker alone, without validating a 2048-bit group."""
+    """The kernel at the 2048/224 shape, at every bit boundary of a 224-bit
+    exponent, checked without validating a 2048-bit group."""
     rng = random.Random(2048)
     p = rng.getrandbits(2048) | (1 << 2047) | 1
     q = rng.getrandbits(224) | (1 << 223) | 1
-    base = rng.randrange(2, p - 1)
-    for teeth in (_G_TEETH, _KEY_TEETH):
-        table = _fixed_base_table(base, p, q, teeth)
-        assert len(table) == 1 << teeth
-        for e in [e for e in comb_edges(q, teeth) if e < q] + [rng.randrange(q) for _ in range(4)]:
-            assert _table_pow(table, e, p, q, teeth) == pow(base, e, p)
+    for base in (rng.randrange(2, p - 1), p - 1):
+        for e in bit_edges(q) + [rng.randrange(q) for _ in range(4)]:
+            assert _modexp(base, e, p) == pow(base, e, p)
 
 
 @pytest.mark.parametrize("proof_by", ["signer", "receiver"])
-def test_a_one_shot_directed_flow_builds_no_table(big_group, monkeypatch, proof_by):
-    """sign -> verify -> proof -> third-party verify raises no base three times."""
+def test_a_one_shot_directed_flow_builds_no_table(big_group, proof_by):
+    """sign -> verify -> proof -> third-party verify leaves the group and keys unchanged."""
     group = fresh(big_group)
-    builds = []
-    build = dirsig.group._fixed_base_table
-    monkeypatch.setattr(
-        dirsig.group, "_fixed_base_table", lambda *args: builds.append(args) or build(*args)
-    )
     rng = random.Random(7)
     signer, receiver, third = (keygen(group, rng) for _ in range(3))
     sig, nonces = sign_directed(group, signer, receiver.y, MSG, rng)
@@ -123,31 +88,21 @@ def test_a_one_shot_directed_flow_builds_no_table(big_group, monkeypatch, proof_
     else:
         proof = prove_by_receiver(group, commitment, receiver, third.y, rng)
     assert accept and verify_as_third_party(group, sig, proof, third, signer.y)
-    assert builds == []
-    assert table_of(group) is None and vars(group).get("_table_bytes", 0) == 0
+    assert group_holds_only_its_fields(group)
+    assert all(holds_only_its_fields(key.y) for key in (signer, receiver, third))
 
 
-def test_the_third_use_of_an_element_builds_its_table(big_group):
-    assert _KEY_TABLE_AFTER == 3
-    element = keygen(fresh(big_group)).y
-    for use in range(1, 5):
-        assert (element ** use).value == pow(element.value, use, big_group.p)
-        assert (table_of(element) is not None) == (use >= 3)
-
-
-def tabled_key(group):
-    key = keygen(group, random.Random(9)).y
-    for e in range(_KEY_TABLE_AFTER):
+def raised_key(group):
+    group.generator ** 5
+    key = keygen(group).y
+    for e in range(20):
         key ** e
-    assert table_of(key) is not None and vars(group)["_table_bytes"] > 0
     return key
 
 
 def test_pickle_carries_only_the_fields(big_group, monkeypatch):
     group = fresh(big_group)
-    for e in range(_G_TABLE_AFTER):
-        group.generator ** e
-    key = tabled_key(group)
+    key = raised_key(group)
     plain = GroupElement(key.value, fresh(big_group))
     assert len(pickle.dumps(key)) == len(pickle.dumps(plain))
     assert len(pickle.dumps(group)) == len(pickle.dumps(plain.group))
@@ -162,14 +117,19 @@ def test_pickle_carries_only_the_fields(big_group, monkeypatch):
     assert vars(loaded.group) == {"p": group.p, "q": group.q, "g": group.g}
 
 
-def test_copies_hold_no_table_and_charge_nothing(big_group):
+def test_copies_hold_no_table_and_charge_nothing(big_group, monkeypatch):
+    """Copies carry only the fields and do not validate the group again."""
     group = fresh(big_group)
-    key = tabled_key(group)
-    charged = vars(group)["_table_bytes"]
+    key = raised_key(group)
+
+    def no_validation(*args):
+        raise AssertionError("copying validated the group again")
+
+    monkeypatch.setattr(dirsig.group, "_check_parameters", no_validation)
     shallow, deep = copy.copy(key), copy.deepcopy(key)
     assert shallow == key == deep
-    assert table_of(shallow) is None and table_of(deep) is None
     assert shallow.group is group and deep.group == group and deep.group is not group
-    assert vars(group)["_table_bytes"] == charged
-    assert "_table_bytes" not in vars(deep.group)
+    for element in (shallow, deep):
+        assert vars(element) == {"value": key.value, "group": element.group}
+        assert vars(element.group) == {"p": group.p, "q": group.q, "g": group.g}
     assert (deep ** 5).value == (key ** 5).value
