@@ -10,6 +10,7 @@ artifact codec in `serialize`.
 from __future__ import annotations
 
 import json
+import os
 import re
 
 
@@ -77,8 +78,16 @@ def list_field(key: str, value) -> list:
     return value
 
 
-def save_json(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def save_json(path, data: dict, *, private: bool = False) -> None:
+    """Write `data` as sorted, indented JSON, deciding the file's mode.
+
+    A public file gets the mode the umask leaves of 0666. A `private` one is
+    0600 before its first byte: created so, or truncated and narrowed so.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        if private:  # O_CREAT leaves an existing file's mode as it was
+            os.fchmod(fd, 0o600)
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ from .threshold import (
     QuorumMembershipError,
     QuorumSizeError,
     _combine,
-    combine_and_verify,
     modify_shadow,
     partial_result,
     recover_share,
@@ -70,7 +68,7 @@ EXIT_INTERNAL = 4
 _DEMO_MESSAGE = b"message"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -119,9 +117,7 @@ def _config(args) -> CliConfig:
 def _emit(args, data: dict, *, private: bool = False) -> None:
     out = getattr(args, "out", None)
     if out:
-        serialize.save_json(out, data)
-        if private:
-            os.chmod(out, 0o600)
+        serialize.save_json(out, data, private=private)
     elif args.format == "hex":
         for key, value in data.items():
             if isinstance(value, (dict, list)):
@@ -186,8 +182,7 @@ def cmd_sign(args, cfg: CliConfig) -> int:
     sig, nonces = sign_directed(cfg.group, signer, receiver_pub, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.directed_signature_to_dict(sig))
     nonce_out = args.nonce_out or f"{args.out}.nonces"
-    serialize.save_json(nonce_out, serialize.nonce_state_to_dict(nonces))
-    os.chmod(nonce_out, 0o600)
+    serialize.save_json(nonce_out, serialize.nonce_state_to_dict(nonces), private=True)
     print(f"wrote {args.out} (nonce state: {nonce_out})")
     return EXIT_OK
 
@@ -198,8 +193,9 @@ def cmd_dverify(args, cfg: CliConfig) -> int:
     signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
     accept, commitment = verify_directed(cfg.group, sig, receiver, signer_pub, cfg.hash_fn)
     if args.commitment_out:
-        serialize.save_json(args.commitment_out, serialize.commitment_to_dict(commitment))
-        os.chmod(args.commitment_out, 0o600)
+        serialize.save_json(
+            args.commitment_out, serialize.commitment_to_dict(commitment), private=True
+        )
     if not accept:
         return _fail_verification("verification-failed", "directed signature rejected")
     print("accept")
@@ -270,8 +266,8 @@ def cmd_tcombine(args, cfg: CliConfig) -> int:
     sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
     partials = [cfg.read(serialize.partial_from_dict, path) for path in args.partials]
     signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
-    accept = combine_and_verify(cfg.group, sig, partials, signer_pub, cfg.hash_fn)
-    print(f"R={serialize.int_to_hex(_combine(partials, sig.threshold).value)}")
+    accept, r_elem = _combine(cfg.group, sig, partials, signer_pub, sig.message, cfg.hash_fn)
+    print(f"R={serialize.int_to_hex(r_elem.value)}")
     if not accept:
         return _fail_verification("verification-failed", "threshold verification rejected")
     print("accept")
@@ -475,7 +471,6 @@ _ERROR_CODES = (
     (ThresholdRangeError, EXIT_INPUT, "threshold-range"),
     (NonInvertibleError, EXIT_INPUT, "non-invertible"),
     (GenerationError, EXIT_INTERNAL, "generation-timeout"),
-    (_UsageError, EXIT_INPUT, "bad-arguments"),
     (ValueError, EXIT_INPUT, "bad-arguments"),
 )
 

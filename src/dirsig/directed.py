@@ -170,11 +170,9 @@ def verify_as_third_party(
     v. The acceptance rule is verify_directed's, run under the third
     party's own key.
     """
-    if isinstance(proof, SignerProof):
-        substituted = DirectedSignature(s=sig.s, w=sig.w, v=proof.v_c, message=sig.message)
-    elif isinstance(proof, ReceiverProof):
-        substituted = DirectedSignature(s=sig.s, w=proof.w_c, v=proof.v_c, message=sig.message)
-    else:
+    if not isinstance(proof, (SignerProof, ReceiverProof)):
         raise TypeError(f"expected SignerProof or ReceiverProof, got {type(proof).__name__}")
+    w = proof.w_c if isinstance(proof, ReceiverProof) else sig.w
+    substituted = DirectedSignature(s=sig.s, w=w, v=proof.v_c, message=sig.message)
     accept, _ = verify_directed(group, substituted, third_party, signer_pub, h)
     return accept

@@ -100,8 +100,8 @@ def _modexp(base: int, e: int, n: int) -> int:
     return pow(base, e, n)
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin primality test; false positives occur w.p. <= 4**-rounds."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with a fixed 64 rounds, so no caller can weaken it; errs w.p. <= 4**-64."""
     if n < 2:
         raise ValueError("primality is defined for n > 1")
     for p in _SMALL_PRIMES:
@@ -115,7 +115,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(64):
         a = _sysrand.randrange(2, n - 1)
         x = _modexp(a, d, n)
         if x == 1 or x == n - 1:
@@ -281,9 +281,6 @@ class GroupElement:
             exponent %= group.q
         # never reduced otherwise: an element need not lie in the subgroup
         return GroupElement(_modexp(self.value, exponent, group.p), group)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(mod_inv(self.value, self.group.p), self.group)
 
     def __int__(self) -> int:
         return self.value

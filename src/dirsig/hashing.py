@@ -79,7 +79,7 @@ class FixtureHash(HashFunction):
         return self._fallback.hash_to_scalar(element, message)
 
     @classmethod
-    def from_file(cls, path, *, error_on_miss: bool = True) -> "FixtureHash":
+    def from_file(cls, path) -> "FixtureHash":
         """Load a table from JSON: {"entries": [{"element", "message", "scalar"}]}.
 
         Element and message are canonical lowercase hex, the scalar is
@@ -90,7 +90,7 @@ class FixtureHash(HashFunction):
         for entry in list_field("entries", entries):
             element, message, scalar = fields(entry, ("element", "message", "scalar"))
             table[(hex_to_int(element), hex_to_bytes(message))] = decimal_to_int(scalar)
-        return cls(table, error_on_miss=error_on_miss)
+        return cls(table)
 
 
 DEFAULT_HASH = Sha256Hash()

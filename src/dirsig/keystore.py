@@ -1,12 +1,11 @@
 """File-backed keystore: one JSON file per named key.
 
-Private keys are stored unencrypted with 0600 permissions — adequate for
-experiments and tests, not hardened key management.
+Private keys are stored unencrypted, created with 0600 permissions —
+adequate for experiments and tests, not hardened key management.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from .group import GroupElement, KeyPair, SchnorrGroup
@@ -36,11 +35,11 @@ class Keystore:
         return self.root / f"{_check_name(name)}.pub"
 
     def save_keypair(self, name: str, keypair: KeyPair) -> None:
-        """Write NAME.key (mode 0600) and the matching NAME.pub."""
+        """Write NAME.key (0600 from its first byte) and the matching NAME.pub."""
         self.root.mkdir(parents=True, exist_ok=True)
-        key_path = self.keypair_path(name)
-        serialize.save_json(key_path, serialize.keypair_to_dict(keypair))
-        os.chmod(key_path, 0o600)
+        serialize.save_json(
+            self.keypair_path(name), serialize.keypair_to_dict(keypair), private=True
+        )
         serialize.save_json(self.public_path(name), serialize.public_key_to_dict(keypair.y))
 
     def load_keypair(self, group: SchnorrGroup, name: str) -> KeyPair:

@@ -4,7 +4,8 @@ Big integers are lowercase hexadecimal, big-endian, without leading
 zeros; byte strings (messages, ciphertexts) are lowercase hex of even
 length. Parsing is the trust boundary: scalars are range-checked and
 group elements are checked for subgroup membership here, so protocol
-code can assume well-formed values.
+code can assume well-formed values. Files go through `load_json` and
+`save_json`; a secret artifact is saved with `private=True`, so 0600.
 
 Each artifact is described once, by a table of `(json key, attribute,
 kind)` rows that drives both `_encode` and `_decode`. The decoder accepts
@@ -16,7 +17,6 @@ are written by hand.
 from __future__ import annotations
 
 from functools import partial
-from types import SimpleNamespace
 from typing import Union
 
 from .canonical import (
@@ -37,7 +37,7 @@ from .directed import (
     SignerNonceState,
     SignerProof,
 )
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
+from .group import KeyPair, Scalar, SchnorrGroup
 from .schnorr import SchnorrSignature
 from .shamir import Share
 from .threshold import (
@@ -125,7 +125,7 @@ def _codec(table):
 
 # -- the artifact tables ------------------------------------------------------
 
-_PUBLIC_KEY = (lambda y: y, (("y", "y", ELEMENT),))
+_PUBLIC_KEY = (lambda value: value, (("y", "value", ELEMENT),))  # a bare element: y is its value
 _SCHNORR_SIGNATURE = (SchnorrSignature, (("r", "r", SCALAR), ("s", "s", SCALAR)))
 _DIRECTED_SIGNATURE = (DirectedSignature, (
     ("s", "s", SCALAR), ("w", "w", ELEMENT), ("v", "v", ELEMENT), ("m", "message", BYTES),
@@ -166,14 +166,7 @@ shadow_to_dict, shadow_from_dict = _codec(_SHADOW)
 partial_to_dict, partial_from_dict = _codec(_PARTIAL)
 directory_to_dict, directory_from_dict = _codec(_DIRECTORY)
 ciphertext_to_dict, ciphertext_from_dict = _codec(_CIPHERTEXT)
-
-
-def public_key_to_dict(y: GroupElement) -> dict:
-    return _encode(_PUBLIC_KEY, SimpleNamespace(y=y))
-
-
-def public_key_from_dict(group: SchnorrGroup, data: dict) -> GroupElement:
-    return _decode(_PUBLIC_KEY, group, data)
+public_key_to_dict, public_key_from_dict = _codec(_PUBLIC_KEY)
 
 
 # -- the hand-written formats -------------------------------------------------

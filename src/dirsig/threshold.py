@@ -199,13 +199,24 @@ def _check_quorum(ids: Sequence[Scalar], threshold: int) -> None:
     _check_ids(ids)
 
 
-def _combine(partials: Sequence[PartialResult], threshold: int) -> GroupElement:
-    """Check the quorum, then multiply its partial results into R."""
-    _check_quorum([p.u for p in partials], threshold)
+def _combine(
+    group: SchnorrGroup,
+    sig: ThresholdSignature,
+    partials: Sequence[PartialResult],
+    signer_pub: GroupElement,
+    m: bytes,
+    h: HashFunction,
+) -> Tuple[bool, GroupElement]:
+    """Check the quorum, multiply its partials into R, check `sig.s` on (R, m): (accept, R).
+
+    Only `sig.s` and `sig.threshold` are read, so a group ciphertext is combined the same way.
+    """
+    _check_quorum([p.u for p in partials], sig.threshold)
     r_elem = partials[0].value
     for partial in partials[1:]:
         r_elem = r_elem * partial.value
-    return r_elem
+    accept, _ = check_response(group, sig.s, r_elem, signer_pub, m, h)
+    return accept, r_elem
 
 
 def combine_and_verify(
@@ -221,6 +232,4 @@ def combine_and_verify(
     exactly the directed scheme's check. The combiner holds no secrets;
     everything here is public input plus the submitted partials.
     """
-    r_elem = _combine(partials, sig.threshold)
-    accept, _ = check_response(group, sig.s, r_elem, signer_pub, sig.message, h)
-    return accept
+    return _combine(group, sig, partials, signer_pub, sig.message, h)[0]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from .directed import check_response, respond
+from .directed import respond
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import SharingPolynomial, _check_threshold
@@ -122,8 +122,7 @@ def decrypt_with_quorum(
         for member, u in quorum
     ]
 
-    r_elem = _combine(partials, ct.threshold)
-    accept, _ = check_response(group, ct.s, r_elem, sender_pub, ct.ciphertext, h)
+    accept, r_elem = _combine(group, ct, partials, sender_pub, ct.ciphertext, h)
     if not accept:
         raise SenderAuthenticationError("rebuilt commitment does not match the response")
 

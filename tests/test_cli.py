@@ -1,7 +1,9 @@
 """Command-line workflows driven end-to-end from files."""
 
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import pytest
 from dirsig import serialize
 from dirsig.cli import main
 from dirsig.directed import sign_directed
-from dirsig.group import keygen
+from dirsig.group import GroupElement, keygen
 from dirsig.keystore import Keystore
 
 from conftest import MSG
@@ -561,3 +563,114 @@ def test_fixture_miss_does_not_print_the_commitment(tmp_path, big_group, capsys)
     r_value = (big_group.generator ** nonces.k1).value
     assert "fixture-miss" in err
     assert str(r_value) not in err and format(r_value, "x") not in err
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.fixture()
+def modes_at_write(monkeypatch):
+    """Mode and size of each JSON file as `json.dump` starts on it, keyed by inode."""
+    seen = {}
+    dump = json.dump
+
+    def spy(obj, fh, **kwargs):
+        st = os.fstat(fh.fileno())
+        seen[st.st_dev, st.st_ino] = (stat.S_IMODE(st.st_mode), st.st_size)
+        return dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", spy)
+    return seen
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "overwrite-0644"])
+def test_secret_files_are_0600_from_their_first_byte(
+    toy_env, umask_022, modes_at_write, existing
+):
+    tmp_path, group_file, message_file = toy_env
+    f = {name: tmp_path / name for name in (
+        "erin.key", "sig.json.nonces", "commit.json", "share.json", "shadow.json",
+        "erin.pub", "sig.json", "proof.json", "partial.json", "group2.json", "tsig.json",
+    )}
+    secret = ("erin.key", "sig.json.nonces", "commit.json", "share.json", "shadow.json")
+    if existing:
+        for path in f.values():
+            path.write_text("stale secret\n")
+            os.chmod(path, 0o644)
+    common = ("--group", group_file, "--keystore", tmp_path)
+    assert run("keygen", "erin", *common) == 0
+    assert run("paramgen", "--p-bits", 64, "--q-bits", 32, "--out", f["group2.json"]) == 0
+    assert run(
+        "sign", *common, "--signer", "alice", "--receiver", "bob",
+        "--message-file", message_file, "--out", f["sig.json"],
+    ) == 0
+    assert run(
+        "dverify", *common, "--receiver", "bob", "--signer", "alice",
+        "--sig", f["sig.json"], "--commitment-out", f["commit.json"],
+    ) == 0
+    assert run(
+        "prove-receiver", *common, "--commitment", f["commit.json"],
+        "--receiver", "bob", "--third-party", "carol", "--out", f["proof.json"],
+    ) == 0
+    assert run(
+        "tsign", *common, "--signer", "alice", "--k", 1, "--member", "bob=1",
+        "--message-file", message_file, "--out", f["tsig.json"],
+    ) == 0
+    assert run(
+        "trecover", *common, "--sig", f["tsig.json"], "--member", "bob", "--u", "1",
+        "--out", f["share.json"],
+    ) == 0
+    assert run(
+        "tshadow", *common, "--share", f["share.json"], "--quorum", "1",
+        "--out", f["shadow.json"],
+    ) == 0
+    assert run("tpartial", *common, "--shadow", f["shadow.json"], "--out", f["partial.json"]) == 0
+
+    for name, path in f.items():
+        want = 0o600 if name in secret else 0o644
+        st = path.stat()
+        assert modes_at_write[st.st_dev, st.st_ino] == (want, 0), name  # before any byte
+        assert stat.S_IMODE(st.st_mode) == want, name
+        assert "stale" not in path.read_text(), name
+
+
+def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):
+    tmp_path, group_file, message_file = toy_env
+    common = ("--group", group_file, "--keystore", tmp_path)
+    k = 3
+    tsig = tmp_path / "tsig.json"
+    assert run(
+        "tsign", *common, "--signer", "alice", "--k", k,
+        "--member", "bob=1", "--member", "carol=2", "--member", "dave=3",
+        "--message-file", message_file, "--out", tsig,
+    ) == 0
+    partials = []
+    for u, name in ((1, "bob"), (2, "carol"), (3, "dave")):
+        share, shadow, partial = (tmp_path / f"{kind}_{u}.json" for kind in ("s", "m", "p"))
+        assert run(
+            "trecover", *common, "--sig", tsig, "--member", name, "--u", u, "--out", share
+        ) == 0
+        assert run("tshadow", *common, "--share", share, "--quorum", "1,2,3", "--out", shadow) == 0
+        assert run("tpartial", *common, "--shadow", shadow, "--out", partial) == 0
+        partials.append(partial)
+    capsys.readouterr()
+
+    calls = []
+    original = GroupElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counting_mul)
+    assert run("tcombine", *common, "--sig", tsig, "--signer", "alice", "--partials", *partials) == 0
+    # k - 1 products rebuild R once; the verification equation's R * y^h is one more
+    assert len(calls) == (k - 1) + 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("R=") and out[1:] == ["accept"]
