@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 
 
 class SerializationError(ValueError):
@@ -78,16 +79,23 @@ def list_field(key: str, value) -> list:
     return value
 
 
-def save_json(path, data: dict, *, private: bool = False) -> None:
-    """Write `data` as sorted, indented JSON, deciding the file's mode.
+@contextmanager
+def _open_output(path, mode: str = "w", *, private: bool = False):
+    """Open `path` for writing from empty, deciding its mode before any byte.
 
     A public file gets the mode the umask leaves of 0666. A `private` one is
     0600 before its first byte: created so, or truncated and narrowed so.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
+    with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
         if private:  # O_CREAT leaves an existing file's mode as it was
             os.fchmod(fd, 0o600)
+        yield fh
+
+
+def save_json(path, data: dict, *, private: bool = False) -> None:
+    """Write `data` as sorted, indented JSON; `private` files are 0600 from the first byte."""
+    with _open_output(path, private=private) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

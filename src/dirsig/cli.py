@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialize
+from .canonical import _open_output
 from .directed import (
     prove_by_receiver,
     prove_by_signer,
@@ -290,7 +291,8 @@ def cmd_gdecrypt(args, cfg: CliConfig) -> int:
     quorum = _named_members(cfg, args.member, cfg.keystore.load_keypair)
     message = decrypt_with_quorum(cfg.group, ct, quorum, sender_pub, cfg.hash_fn)
     if args.out:
-        Path(args.out).write_bytes(message)
+        with _open_output(args.out, "wb", private=True) as fh:  # the quorum's secret
+            fh.write(message)
         print(f"wrote {args.out}")
     else:
         print(serialize.bytes_to_hex(message))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .group import Scalar, SchnorrGroup
@@ -70,7 +71,7 @@ def _check_ids(ids: Sequence[Scalar]) -> None:
     if not ids:
         raise ShareIdError("at least one identity is required")
     values = [u.value for u in ids]
-    if any(v == 0 for v in values):
+    if 0 in values:
         raise ShareIdError("identity 0 would leak the secret directly")
     if len(set(values)) != len(values):
         raise ShareIdError("identities must be distinct")
@@ -116,31 +117,50 @@ def split(
     return [Share(u=u, v=poly.evaluate(u)) for u in ids]
 
 
+@lru_cache(maxsize=16)
+def _weights_at_zero(group: SchnorrGroup, xs: tuple[int, ...]) -> tuple[Scalar, ...]:
+    """All weights of the quorum with distinct nonzero id values `xs`: prod(u_j) / d_i.
+
+    d_i = u_i * prod over j != i of (u_j - u_i) takes k(k-1) products; then
+    Montgomery's trick turns the k inversions of d_i into one. The group and
+    the ids are public, and so is every weight memoised here.
+    """
+    q = group.q
+    ds, prefix, numerator = [], [1], 1  # prefix[i] = d_0 * ... * d_{i-1}
+    for x_i in xs:
+        d = x_i
+        for x_j in xs:
+            if x_j != x_i:  # the values are distinct: this skips j == i alone
+                d = d * (x_j - x_i) % q
+        ds.append(d)
+        prefix.append(prefix[-1] * d % q)
+        numerator = numerator * x_i % q
+    acc = numerator * group.scalar(prefix[-1]).inverse().value % q
+    weights = [None] * len(xs)
+    for i in reversed(range(len(xs))):  # acc = prod(u_j) / (d_0 * ... * d_i)
+        weights[i] = Scalar(acc * prefix[i] % q, group)
+        acc = acc * ds[i] % q
+    return tuple(weights)
+
+
 def lagrange_coefficient_at_zero(quorum_ids: Sequence[Scalar], index: int) -> Scalar:
     """Weight for quorum member `index`: prod over j != i of -u_j / (u_i - u_j).
 
-    Computed as prod(u_j) / prod(u_j - u_i) on plain ints mod q, so one
-    inversion per weight. With these weights, sum(lambda_i * f(u_i)) = f(0).
-    The empty product (a single-member quorum) is 1. The denominator is
-    invertible because the identities are distinct and q is prime.
+    Every call checks the ids, the index and the group, then reads the weight
+    from one pass over the whole quorum, memoised on the group and id values:
+    the k members of a quorum share one inversion. With these weights,
+    sum(lambda_i * f(u_i)) = f(0); a single-member quorum's weight is 1.
     """
     _check_ids(quorum_ids)
     if not 0 <= index < len(quorum_ids):
         raise IndexError(f"index {index} outside quorum of size {len(quorum_ids)}")
     u_i = quorum_ids[index]
-    group: SchnorrGroup = u_i.group
-    values = [u_i._coerce(u) for u in quorum_ids]  # ValueError on a mixed group
-    q, x_i = group.q, values[index]
-    num = den = 1
-    for j, x_j in enumerate(values):
-        if j != index:
-            num = num * x_j % q
-            den = den * (x_j - x_i) % q
-    return group.scalar(num) * group.scalar(den).inverse()
+    xs = tuple([u_i._coerce(u) for u in quorum_ids])  # ValueError on a mixed group
+    return _weights_at_zero(u_i.group, xs)[index]
 
 
 def reconstruct(quorum: Sequence[Share]) -> Scalar:
-    """Interpolate the quorum's shares at zero.
+    """Interpolate the quorum's shares at zero, from one pass over its weights.
 
     The result equals the dealt secret exactly when the quorum reaches the
     sharing's threshold; below threshold it is some other point-consistent
@@ -148,8 +168,9 @@ def reconstruct(quorum: Sequence[Share]) -> Scalar:
     """
     ids = [share.u for share in quorum]
     _check_ids(ids)
-    group = ids[0].group
-    total = group.scalar(0)
-    for i, share in enumerate(quorum):
-        total = total + lagrange_coefficient_at_zero(ids, i) * share.v
+    u_0 = ids[0]
+    weights = _weights_at_zero(u_0.group, tuple([u_0._coerce(u) for u in ids]))
+    total = u_0.group.scalar(0)
+    for weight, share in zip(weights, quorum):
+        total = total + weight * share.v
     return total

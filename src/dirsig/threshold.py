@@ -164,7 +164,7 @@ def recover_share(
     that fails downstream combination.
     """
     for masked in sig.masked_shares:
-        if masked.u == u:
+        if masked.u.value == u.value and masked.u == u:  # the value first: it settles most misses
             raw = masked.v * (sig.w ** member.x).value % group.p
             return Share(u=u, v=group.scalar(raw))
     raise MemberNotFoundError(f"identity {u.value} has no masked share")
@@ -174,10 +174,12 @@ def modify_shadow(share: Share, quorum_ids: Sequence[Scalar]) -> ModifiedShadow:
     """Scale the share by its Lagrange weight over the acting quorum.
 
     The quorum must have exactly the sharing's threshold members; that is
-    the caller's contract, since shares do not carry the threshold.
+    the caller's contract, since shares do not carry the threshold. The
+    first step over a quorum weighs all its members with one inversion; the
+    other steps reuse those weights, and every step checks the quorum's ids.
     """
     for index, u in enumerate(quorum_ids):
-        if u == share.u:
+        if u.value == share.u.value and u == share.u:  # the value first: it settles most misses
             lam = lagrange_coefficient_at_zero(quorum_ids, index)
             return ModifiedShadow(u=share.u, value=share.v * lam)
     raise QuorumMembershipError(f"identity {share.u.value} not in quorum")

@@ -6,9 +6,11 @@ import random
 import stat
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+import dirsig.cli
 from dirsig import serialize
 from dirsig.cli import main
 from dirsig.directed import sign_directed
@@ -638,6 +640,37 @@ def test_secret_files_are_0600_from_their_first_byte(
         assert modes_at_write[st.st_dev, st.st_ino] == (want, 0), name  # before any byte
         assert stat.S_IMODE(st.st_mode) == want, name
         assert "stale" not in path.read_text(), name
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "overwrite-0644"])
+def test_decrypted_plaintext_is_0600_from_its_first_byte(
+    toy_env, tmp_path, umask_022, monkeypatch, existing
+):
+    _, group_file, message_file = toy_env
+    ct, plain = tmp_path / "ct.json", tmp_path / "plain.bin"
+    if existing:
+        plain.write_text("stale plaintext\n")
+        os.chmod(plain, 0o644)
+    at_open = []
+    open_output = dirsig.cli._open_output
+
+    @contextmanager
+    def spy(path, *args, **kwargs):
+        with open_output(path, *args, **kwargs) as fh:
+            st = os.fstat(fh.fileno())
+            at_open.append((stat.S_IMODE(st.st_mode), st.st_size))
+            yield fh
+
+    monkeypatch.setattr(dirsig.cli, "_open_output", spy)
+    common = ("--group", group_file, "--keystore", tmp_path, "--sender", "alice")
+    assert run(
+        "gencrypt", *common, "--k", 1, "--member", "bob=1",
+        "--message-file", message_file, "--out", ct,
+    ) == 0
+    assert run("gdecrypt", *common, "--ct", ct, "--member", "bob=1", "--out", plain) == 0
+    assert at_open == [(0o600, 0)]  # before any byte of the plaintext
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o600
+    assert plain.read_bytes() == MSG
 
 
 def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):

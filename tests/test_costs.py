@@ -20,7 +20,7 @@ from dirsig.directed import (
     verify_directed,
 )
 from dirsig.group import GroupElement, keygen
-from dirsig.shamir import Share, ShareIdError, ThresholdRangeError
+from dirsig.shamir import Share, ShareIdError, ThresholdRangeError, _weights_at_zero
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
@@ -151,16 +151,23 @@ def test_dealing_checks_the_threshold_before_any_exponentiation(
     assert sum(pows.values()) == 0
 
 
-def test_member_weight_costs_one_inversion(big_group, pows, monkeypatch):
-    """modify_shadow in a k = 32 quorum: one modular inversion, no exponentiation."""
-    inversions = []
+@pytest.fixture()
+def inversions(monkeypatch):
+    """Moduli of every `mod_inv` call, from a cold weight cache."""
+    moduli = []
     original = dirsig.group.mod_inv
 
     def counting_inv(a, m):
-        inversions.append(m)
+        moduli.append(m)
         return original(a, m)
 
     monkeypatch.setattr(dirsig.group, "mod_inv", counting_inv)
+    _weights_at_zero.cache_clear()  # a quorum an earlier test cached would cost nothing
+    return moduli
+
+
+def test_member_weight_costs_one_inversion(big_group, pows, inversions):
+    """modify_shadow in a k = 32 quorum: one modular inversion, no exponentiation."""
     quorum = [big_group.scalar(u) for u in range(1, 33)]
     share = Share(u=quorum[17], v=big_group.scalar(7))
     pows.clear()
@@ -168,3 +175,12 @@ def test_member_weight_costs_one_inversion(big_group, pows, monkeypatch):
     assert inversions == [big_group.q]
     assert sum(pows.values()) == 0
 
+
+def test_a_quorum_shares_one_inversion(big_group, pows, inversions):
+    """Every member step over one k = 32 quorum together makes one inversion."""
+    for n_quorums, first in enumerate((1, 33), start=1):
+        quorum = [big_group.scalar(u) for u in range(first, first + 32)]
+        for u in quorum:
+            modify_shadow(Share(u=u, v=big_group.scalar(7)), quorum)
+        assert inversions == [big_group.q] * n_quorums
+    assert sum(pows.values()) == 0

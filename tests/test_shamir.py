@@ -177,10 +177,13 @@ def _draw_coefficients(data, group, max_size):
 @settings(deadline=None)
 @given(data=st.data())
 def test_weight_matches_the_per_term_formula(which, toy_group, big_group, data):
+    """Every weight of a quorum, of a permutation of it and of the same quorum
+    asked again (a cache hit) equals the reference."""
     group = toy_group if which == "toy" else big_group
     ids = _draw_ids(data, group)
-    index = data.draw(st.integers(0, len(ids) - 1))
-    assert lagrange_coefficient_at_zero(ids, index) == _reference_weight(ids, index)
+    for quorum in (ids, data.draw(st.permutations(ids)), list(ids)):
+        for index in range(len(quorum)):
+            assert lagrange_coefficient_at_zero(quorum, index) == _reference_weight(quorum, index)
 
 
 @pytest.mark.parametrize("which", ["toy", "big"])
@@ -208,6 +211,32 @@ def test_evaluate_matches_scalar_horner(which, toy_group, big_group, data):
     u = group.scalar(data.draw(st.integers(0, group.q - 1)))
     polynomial = SharingPolynomial(coefficients)
     assert polynomial.evaluate(u) == _reference_evaluate(coefficients, u)
+
+
+def test_a_cached_quorum_still_runs_every_check(toy_group):
+    """The weights of ids (1, 2, 3) are cached; each call still rejects bad input."""
+    other = validate_group(47, 23, 2)
+    quorum = _ids(toy_group, 1, 2, 3)
+    shares = [Share(u=u, v=toy_group.scalar(5)) for u in quorum]
+    assert reconstruct(shares).value == 5  # caches the weights of (1, 2, 3)
+    with pytest.raises(ShareIdError):
+        lagrange_coefficient_at_zero(_ids(toy_group, 1, 2, 2), 0)
+    with pytest.raises(ShareIdError):
+        lagrange_coefficient_at_zero(_ids(toy_group, 0, 2, 3), 1)
+    with pytest.raises(ShareIdError):
+        reconstruct([shares[0], shares[1], shares[1]])
+    for index in (-1, 3):
+        with pytest.raises(IndexError):
+            lagrange_coefficient_at_zero(quorum, index)
+    mixed = [toy_group.scalar(1), other.scalar(2), toy_group.scalar(3)]
+    for index in range(3):
+        with pytest.raises(ValueError):
+            lagrange_coefficient_at_zero(mixed, index)
+    with pytest.raises(ValueError):
+        reconstruct([Share(u=u, v=other.scalar(5)) for u in mixed])
+    not_a_scalar = [quorum[0], toy_group.generator ** 7, quorum[2]]  # 3^7 = 2 mod 23
+    with pytest.raises(TypeError):
+        lagrange_coefficient_at_zero(not_a_scalar, 0)
 
 
 def test_mixed_groups_are_rejected(toy_group):

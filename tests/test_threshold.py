@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dirsig.directed import sign_directed, verify_directed
-from dirsig.group import GroupElement, keygen
+from dirsig.group import GroupElement, keygen, validate_group
 from dirsig.hashing import Sha256Hash
 from dirsig.shamir import ShareIdError
 from dirsig.threshold import (
@@ -209,6 +209,18 @@ def test_share_outside_quorum_rejected(toy_group, toy_keys, toy_directory, fixtu
     share = recover_share(toy_group, sig, toy_keys["receiver"], toy_group.scalar(1))
     with pytest.raises(QuorumMembershipError):
         modify_shadow(share, [toy_group.scalar(2), toy_group.scalar(3)])
+
+
+def test_member_lookup_requires_the_same_group(toy_group, toy_keys, toy_directory, fixture_hash):
+    """An id of equal value from another group matches no member: the lookups
+    compare values first, yet still require group equality."""
+    other = validate_group(47, 23, 2)
+    sig = _golden_signature(toy_group, toy_keys, toy_directory, fixture_hash)
+    with pytest.raises(MemberNotFoundError):
+        recover_share(toy_group, sig, toy_keys["receiver"], other.scalar(1))
+    share = recover_share(toy_group, sig, toy_keys["receiver"], toy_group.scalar(1))
+    with pytest.raises(QuorumMembershipError):
+        modify_shadow(share, [other.scalar(1), other.scalar(2)])
 
 
 def test_threshold_range_enforced(toy_group, toy_keys, toy_directory):
