@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import serialize
-from .canonical import _open_output
 from .directed import (
     prove_by_receiver,
     prove_by_signer,
@@ -40,7 +39,7 @@ from .group import (
 )
 from .hashing import DEFAULT_HASH, FixtureHash, FixtureMissError, HashFunction
 from .keystore import Keystore, KeystoreError
-from .serialize import MalformedSignatureError, SerializationError
+from .serialize import MalformedSignatureError, SerializationError, _open_output
 from .shamir import ShareIdError, ThresholdRangeError
 from .threshold import (
     GroupDirectory,

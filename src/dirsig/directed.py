@@ -31,6 +31,16 @@ def check_response(
     return group.generator ** s == r * y ** r_hash, r_hash
 
 
+def mask(value: int, y: GroupElement, k: Scalar) -> int:
+    """Blind `value` under public key y with nonce k: value * y^k mod p, unblinded by w = g^-k."""
+    return value * (y ** k).value % y.group.p
+
+
+def unmask(v: int, w: GroupElement, x: Scalar) -> int:
+    """Undo `mask` with the private key x of y = g^x: v * w^x mod p."""
+    return v * (w ** x).value % w.group.p
+
+
 @dataclass(frozen=True)
 class DirectedSignature:
     """The tuple (s, w, v, message) sent to the designated receiver.
@@ -96,7 +106,7 @@ def sign_directed(
     k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
     commitment = group.generator ** k1
     w = group.generator ** -k2
-    v = commitment * receiver_pub ** k2
+    v = GroupElement(mask(commitment.value, receiver_pub, k2), group)
     s = respond(k1, signer, commitment, message, h)
     sig = DirectedSignature(s=s, w=w, v=v, message=message)
     return sig, SignerNonceState(k1=k1, k2=k2, signature=sig)
@@ -116,7 +126,7 @@ def verify_directed(
     collision behaviour). The recovered commitment is returned so the
     receiver can later prove validity to a third party.
     """
-    r_elem = sig.v * sig.w ** receiver.x
+    r_elem = GroupElement(unmask(sig.v.value, sig.w, receiver.x), group)
     accept, r_hash = check_response(group, sig.s, r_elem, signer_pub, sig.message, h)
     return accept, RecoveredCommitment(r_elem=r_elem, r_hash=r_hash)
 
@@ -130,7 +140,8 @@ def prove_by_signer(
 
     The third party keeps the original w; only v is substituted.
     """
-    return SignerProof(v_c=(group.generator ** nonces.k1) * third_party_pub ** nonces.k2)
+    commitment = group.generator ** nonces.k1
+    return SignerProof(v_c=GroupElement(mask(commitment.value, third_party_pub, nonces.k2), group))
 
 
 def prove_by_receiver(
@@ -152,7 +163,7 @@ def prove_by_receiver(
     del receiver  # prover role only; R is already unmasked
     k = _nonce(group, rng, nonce)
     w_c = group.generator ** -k
-    v_c = commitment.r_elem * third_party_pub ** k
+    v_c = GroupElement(mask(commitment.r_elem.value, third_party_pub, k), group)
     return ReceiverProof(w_c=w_c, v_c=v_c)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping, Tuple
 
-from .canonical import decimal_to_int, fields, hex_to_bytes, hex_to_int, list_field, load_json
 from .group import GroupElement, Scalar
 
 
@@ -80,17 +79,10 @@ class FixtureHash(HashFunction):
 
     @classmethod
     def from_file(cls, path) -> "FixtureHash":
-        """Load a table from JSON: {"entries": [{"element", "message", "scalar"}]}.
+        """Load a table from JSON; `serialize._fixture_table` owns the format and its errors."""
+        from .serialize import _fixture_table  # serialize imports this module via directed
 
-        Element and message are canonical lowercase hex, the scalar is
-        canonical decimal; any other document raises SerializationError.
-        """
-        (entries,) = fields(load_json(path), ("entries",))
-        table = {}
-        for entry in list_field("entries", entries):
-            element, message, scalar = fields(entry, ("element", "message", "scalar"))
-            table[(hex_to_int(element), hex_to_bytes(message))] = decimal_to_int(scalar)
-        return cls(table)
+        return cls(_fixture_table(path))
 
 
 DEFAULT_HASH = Sha256Hash()

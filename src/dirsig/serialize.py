@@ -1,35 +1,28 @@
 """JSON file and wire formats for every artifact the toolkit exchanges.
 
-Big integers are lowercase hexadecimal, big-endian, without leading
-zeros; byte strings (messages, ciphertexts) are lowercase hex of even
-length. Parsing is the trust boundary: scalars are range-checked and
-group elements are checked for subgroup membership here, so protocol
-code can assume well-formed values. Files go through `load_json` and
-`save_json`; a secret artifact is saved with `private=True`, so 0600.
+Big integers are lowercase hex without leading zeros, byte strings
+lowercase hex of even length. That is each value's only spelling, and a
+document carries exactly its format's fields: any second spelling would
+make every signature field malleable. Parsing is the trust boundary:
+scalars are range-checked and elements checked for subgroup membership
+here, so protocol code can assume well-formed values. Files go through
+`load_json` and `save_json`; a secret one is saved `private=True`, 0600.
 
 Each artifact is described once, by a table of `(json key, attribute,
-kind)` rows that drives both `_encode` and `_decode`. The decoder accepts
-exactly the table's keys, so every document it accepts re-encodes
-byte-identical. Only the group, the key pair and the proof-flavour sniff
-are written by hand.
+kind)` rows that drives both `_encode` and `_decode`, so every document
+the decoder accepts re-encodes byte-identical. Only the group, the key
+pair, the proof-flavour sniff and the fixture hash table are hand-written.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+from contextlib import contextmanager
 from functools import partial
 from typing import Union
 
-from .canonical import (
-    SerializationError,
-    bytes_to_hex,
-    fields,
-    hex_to_bytes,
-    hex_to_int,
-    int_to_hex,
-    list_field,
-    load_json,  # re-exported: callers read and write files through serialize
-    save_json,  # re-exported
-)
 from .directed import (
     DirectedSignature,
     ReceiverProof,
@@ -49,6 +42,103 @@ from .threshold import (
     ThresholdSignature,
 )
 from .threshold_crypto import ThresholdCiphertext
+
+
+class SerializationError(ValueError):
+    """A document does not parse as the expected artifact."""
+
+
+# The only encoding of each value: no prefix, sign, separator, whitespace,
+# uppercase digit or leading zero.
+_CANONICAL_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
+_CANONICAL_BYTES = re.compile(r"(?:[0-9a-f]{2})*")
+_CANONICAL_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _describe(value) -> str:
+    """Type and length of an untrusted value, never the value: it may be huge or secret."""
+    sized = isinstance(value, (str, list, dict))
+    return type(value).__name__ + (f" of length {len(value)}" if sized else "")
+
+
+def _canonical(pattern: re.Pattern, text, what: str) -> str:
+    if not isinstance(text, str) or not pattern.fullmatch(text):
+        raise SerializationError(f"expected canonical {what}, got {_describe(text)}")
+    return text
+
+
+def int_to_hex(value: int) -> str:
+    if value < 0:
+        raise ValueError("negative integers have no wire encoding")
+    return format(value, "x")
+
+
+def hex_to_int(text: str) -> int:
+    return int(_canonical(_CANONICAL_HEX, text, "lowercase hex"), 16)
+
+
+def decimal_to_int(text: str) -> int:
+    text = _canonical(_CANONICAL_DECIMAL, text, "decimal")
+    try:
+        return int(text, 10)
+    except ValueError as exc:  # past the interpreter's integer-digit limit
+        raise SerializationError(str(exc)) from exc
+
+
+def bytes_to_hex(data: bytes) -> str:
+    return bytes(data).hex()
+
+
+def hex_to_bytes(text: str) -> bytes:
+    return bytes.fromhex(_canonical(_CANONICAL_BYTES, text, "lowercase hex bytes"))
+
+
+def fields(data, keys: tuple) -> list:
+    """The values of `keys` in a JSON object that holds exactly those keys."""
+    if not isinstance(data, dict) or data.keys() != set(keys):
+        got = _describe(data)
+        raise SerializationError(f"expected exactly the fields {sorted(keys)}, got {got}")
+    return [data[key] for key in keys]
+
+
+def list_field(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise SerializationError(f"field {key!r} must be a list")
+    return value
+
+
+@contextmanager
+def _open_output(path, mode: str = "w", *, private: bool = False):
+    """Open `path` for writing from empty, deciding its mode before any byte.
+
+    A public file gets the mode the umask leaves of 0666. A `private` one is
+    0600 before its first byte: created so, or truncated and narrowed so.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+    with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        if private:  # O_CREAT leaves an existing file's mode as it was
+            os.fchmod(fd, 0o600)
+        yield fh
+
+
+def save_json(path, data: dict, *, private: bool = False) -> None:
+    """Write `data` as sorted, indented JSON; `private` files are 0600 from the first byte."""
+    with _open_output(path, private=private) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        # ValueError also covers invalid UTF-8 and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SerializationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SerializationError(f"{path}: expected a JSON object")
+    return data
 
 
 class MalformedSignatureError(SerializationError):
@@ -201,3 +291,16 @@ def proof_from_dict(group: SchnorrGroup, data: dict) -> Union[SignerProof, Recei
     """Sniff the proof flavour: a receiver proof also substitutes w."""
     receiver = isinstance(data, dict) and "w_c" in data
     return _decode(_RECEIVER_PROOF if receiver else _SIGNER_PROOF, group, data)
+
+
+def _fixture_table(path) -> dict:
+    """The `FixtureHash` table of a JSON file: {"entries": [{"element", "message", "scalar"}]}.
+
+    Element and message are canonical lowercase hex, the scalar canonical decimal.
+    """
+    (entries,) = fields(load_json(path), ("entries",))
+    table = {}
+    for entry in list_field("entries", entries):
+        element, message, scalar = fields(entry, ("element", "message", "scalar"))
+        table[(hex_to_int(element), hex_to_bytes(message))] = decimal_to_int(scalar)
+    return table

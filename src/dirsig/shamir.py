@@ -67,14 +67,24 @@ class SharingPolynomial:
         return cls(tuple(coeffs))
 
 
-def _check_ids(ids: Sequence[Scalar]) -> None:
+def _id_value(u: Scalar) -> int:
+    """The value of identity `u`; TypeError unless it is a Scalar."""
+    if not isinstance(u, Scalar):
+        raise TypeError(f"expected Scalar, got {type(u).__name__}")
+    return u.value
+
+
+def _check_ids(ids: Sequence[Scalar]) -> tuple[int, ...]:
+    """The id values, once the ids are Scalars of one group, nonzero and distinct."""
     if not ids:
         raise ShareIdError("at least one identity is required")
-    values = [u.value for u in ids]
+    _id_value(ids[0])  # a non-Scalar has no _coerce to raise the TypeError
+    values = tuple([ids[0]._coerce(u) for u in ids])  # TypeError, or ValueError on a mixed group
     if 0 in values:
         raise ShareIdError("identity 0 would leak the secret directly")
     if len(set(values)) != len(values):
         raise ShareIdError("identities must be distinct")
+    return values
 
 
 def _check_threshold(k: int, n: int) -> None:
@@ -151,12 +161,10 @@ def lagrange_coefficient_at_zero(quorum_ids: Sequence[Scalar], index: int) -> Sc
     the k members of a quorum share one inversion. With these weights,
     sum(lambda_i * f(u_i)) = f(0); a single-member quorum's weight is 1.
     """
-    _check_ids(quorum_ids)
-    if not 0 <= index < len(quorum_ids):
-        raise IndexError(f"index {index} outside quorum of size {len(quorum_ids)}")
-    u_i = quorum_ids[index]
-    xs = tuple([u_i._coerce(u) for u in quorum_ids])  # ValueError on a mixed group
-    return _weights_at_zero(u_i.group, xs)[index]
+    xs = _check_ids(quorum_ids)
+    if not 0 <= index < len(xs):
+        raise IndexError(f"index {index} outside quorum of size {len(xs)}")
+    return _weights_at_zero(quorum_ids[0].group, xs)[index]
 
 
 def reconstruct(quorum: Sequence[Share]) -> Scalar:
@@ -166,11 +174,9 @@ def reconstruct(quorum: Sequence[Share]) -> Scalar:
     sharing's threshold; below threshold it is some other point-consistent
     value. The threshold itself is not carried by the shares.
     """
-    ids = [share.u for share in quorum]
-    _check_ids(ids)
-    u_0 = ids[0]
-    weights = _weights_at_zero(u_0.group, tuple([u_0._coerce(u) for u in ids]))
-    total = u_0.group.scalar(0)
-    for weight, share in zip(weights, quorum):
+    xs = _check_ids([share.u for share in quorum])
+    group = quorum[0].u.group
+    total = group.scalar(0)
+    for weight, share in zip(_weights_at_zero(group, xs), quorum):
         total = total + weight * share.v
     return total

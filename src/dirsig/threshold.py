@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .directed import check_response, respond
+from .directed import check_response, mask, respond, unmask
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import (
@@ -22,6 +22,7 @@ from .shamir import (
     SharingPolynomial,
     _check_ids,
     _check_threshold,
+    _id_value,
     lagrange_coefficient_at_zero,
     split,
 )
@@ -118,7 +119,7 @@ def _deal_masked_shares(
     w = group.generator ** -k2
     commitment = group.generator ** k1
     masked = tuple(
-        MaskedShare(u=share.u, v=share.v.value * (member.y ** k2).value % group.p)
+        MaskedShare(u=share.u, v=mask(share.v.value, member.y, k2))
         for share, member in zip(shares, directory.members)
     )
     return k1, w, commitment, masked
@@ -153,21 +154,18 @@ def recover_share(
     member: KeyPair,
     u: Scalar,
 ) -> Share:
-    """Unmask the member's own share: f(u) = v_u * w^x mod p.
+    """Unmask the member's own share: f(u) = unmask(v_u, w, x).
 
     Only `sig.w` and `sig.masked_shares` are read, so a group ciphertext
-    (`ThresholdCiphertext`) is unmasked the same way.
-
-    w^x cancels exactly the y^k2 blinding of the key the share was masked
-    under. The result is reduced into Z_q; honest values already lie below
-    q, while a wrong key or tampered share yields an arbitrary residue
-    that fails downstream combination.
+    (`ThresholdCiphertext`) is unmasked the same way. The result is reduced
+    into Z_q; honest values already lie below q, while a wrong key or a
+    tampered share yields an arbitrary residue that fails combination.
     """
+    value = _id_value(u)
     for masked in sig.masked_shares:
-        if masked.u.value == u.value and masked.u == u:  # the value first: it settles most misses
-            raw = masked.v * (sig.w ** member.x).value % group.p
-            return Share(u=u, v=group.scalar(raw))
-    raise MemberNotFoundError(f"identity {u.value} has no masked share")
+        if masked.u.value == value and masked.u == u:  # the value first: it settles most misses
+            return Share(u=u, v=group.scalar(unmask(masked.v, sig.w, member.x)))
+    raise MemberNotFoundError(f"identity {value} has no masked share")
 
 
 def modify_shadow(share: Share, quorum_ids: Sequence[Scalar]) -> ModifiedShadow:
@@ -178,11 +176,14 @@ def modify_shadow(share: Share, quorum_ids: Sequence[Scalar]) -> ModifiedShadow:
     first step over a quorum weighs all its members with one inversion; the
     other steps reuse those weights, and every step checks the quorum's ids.
     """
+    value = _id_value(share.u)
     for index, u in enumerate(quorum_ids):
-        if u.value == share.u.value and u == share.u:  # the value first: it settles most misses
+        # the value first: it settles most misses; the weight's _check_ids types the rest
+        if isinstance(u, Scalar) and u.value == value and u == share.u:
             lam = lagrange_coefficient_at_zero(quorum_ids, index)
             return ModifiedShadow(u=share.u, value=share.v * lam)
-    raise QuorumMembershipError(f"identity {share.u.value} not in quorum")
+    _check_ids(quorum_ids)  # a non-Scalar id is a TypeError, not a miss
+    raise QuorumMembershipError(f"identity {value} not in quorum")
 
 
 def partial_result(group: SchnorrGroup, shadow: ModifiedShadow) -> PartialResult:

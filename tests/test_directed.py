@@ -6,15 +6,21 @@ hashlib and pow only — deliberately independent of the library code path.
 """
 
 import hashlib
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirsig.directed import (
     DirectedSignature,
     check_response,
+    mask,
     prove_by_receiver,
     prove_by_signer,
     respond,
     sign_directed,
+    unmask,
     verify_as_third_party,
     verify_directed,
 )
@@ -278,3 +284,40 @@ def test_response_kernel_golden_values(toy_group, toy_keys, fixture_hash):
                 toy_group, toy_group.scalar(bad_s), r, signer.y, MSG, fixture_hash
             )
             assert not accept
+
+
+def test_unmask_inverts_mask_on_every_toy_value(toy_group):
+    """unmask(mask(v, y, k), g^-k, x) = v for every v in [0, p-1] (a zero
+    share masks to zero) and every x, k in [1, q-1]; no other key x'
+    round-trips a nonzero v."""
+    g, nonzero = toy_group.generator, [toy_group.scalar(i) for i in range(1, toy_group.q)]
+    for x, k in itertools.product(nonzero, repeat=2):
+        y, w = g ** x, g ** -k
+        wrong = [other for other in nonzero if other != x]
+        for v in range(toy_group.p):
+            masked = mask(v, y, k)
+            assert unmask(masked, w, x) == v
+            assert v == 0 or all(unmask(masked, w, other) != v for other in wrong)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_unmask_inverts_mask_at_production_size(big_group, data):
+    v = data.draw(st.integers(0, big_group.p - 1))
+    x, k, other = (big_group.scalar(data.draw(st.integers(1, big_group.q - 1))) for _ in range(3))
+    y, w = big_group.generator ** x, big_group.generator ** -k
+    masked = mask(v, y, k)
+    assert unmask(masked, w, x) == v
+    assert v == 0 or other == x or unmask(masked, w, other) != v
+
+
+def test_signature_blinds_the_commitment_with_mask(big_group):
+    """With injected nonces, v = mask(g^k1, y_B, k2) = g^k1 * y_B^k2 mod p."""
+    rng = random.Random(0x3A5C)
+    signer, receiver = keygen(big_group, rng), keygen(big_group, rng)
+    p, g = big_group.p, big_group.g
+    for _ in range(4):
+        k1, k2 = rng.randrange(1, big_group.q), rng.randrange(1, big_group.q)
+        sig, _ = sign_directed(big_group, signer, receiver.y, MSG, nonces=(k1, k2))
+        expected = mask(pow(g, k1, p), receiver.y, big_group.scalar(k2))
+        assert sig.v.value == expected == pow(g, k1, p) * pow(receiver.y.value, k2, p) % p

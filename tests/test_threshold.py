@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from dirsig.directed import sign_directed, verify_directed
+from dirsig.directed import mask, sign_directed, verify_directed
 from dirsig.group import GroupElement, keygen, validate_group
 from dirsig.hashing import Sha256Hash
-from dirsig.shamir import ShareIdError
+from dirsig.shamir import Share, ShareIdError, lagrange_coefficient_at_zero, reconstruct, split
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
@@ -378,3 +378,49 @@ def test_masks_keep_the_quadratic_character_of_each_share(big_group):
             symbols.add(_legendre(share.v.value, big_group.p))
             assert _legendre(masked.v, big_group.p) == _legendre(share.v.value, big_group.p)
     assert symbols == {1, big_group.p - 1}  # both characters occur, and both leak
+
+
+def test_dealt_shares_are_blinded_with_mask(big_group):
+    """With injected nonces and polynomial, v_i = mask(f(u_i), y_i, k2) = f(u_i) * y_i^k2 mod p."""
+    rng = random.Random(0x5A4E)
+    n, k = 6, 4
+    member_keys = {u: keygen(big_group, rng) for u in range(1, n + 1)}
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=big_group.scalar(u), y=kp.y) for u, kp in member_keys.items()
+    ))
+    k1, k2 = rng.randrange(1, big_group.q), rng.randrange(1, big_group.q)
+    coefficients = [k1] + [rng.randrange(big_group.q) for _ in range(k - 1)]
+    sig = sign_for_group(
+        big_group, keygen(big_group, rng), directory, k, MSG,
+        nonces=(k1, k2), polynomial=coefficients,
+    )
+    p, q = big_group.p, big_group.q
+    for masked, member in zip(sig.masked_shares, directory.members):
+        u = member.u.value
+        f_u = sum(c * pow(u, i, q) for i, c in enumerate(coefficients)) % q
+        expected = mask(f_u, member.y, big_group.scalar(k2))
+        assert masked.v == expected == f_u * pow(member.y.value, k2, p) % p
+
+
+def test_plain_int_ids_are_a_type_error(toy_group, toy_keys, toy_directory, fixture_hash):
+    """Every entry point that takes member ids rejects a plain int id with
+    TypeError, wherever it sits among the ids, not with AttributeError."""
+    sig = _golden_signature(toy_group, toy_keys, toy_directory, fixture_hash)
+    receiver = toy_keys["receiver"]
+    share = recover_share(toy_group, sig, receiver, toy_group.scalar(1))
+    one, five = toy_group.scalar(1), toy_group.scalar(5)
+    calls = [
+        lambda: recover_share(toy_group, sig, receiver, 1),
+        lambda: modify_shadow(Share(u=1, v=five), [one, toy_group.scalar(2)]),
+    ]
+    for ids in ([1, 2], [one, 2], [2, one]):
+        calls += [
+            lambda ids=ids: lagrange_coefficient_at_zero(ids, 0),
+            lambda ids=ids: reconstruct([Share(u=u, v=five) for u in ids]),
+            lambda ids=ids: split(five, 2, ids),
+            lambda ids=ids: GroupDirectory(members=tuple(GroupMember(u, receiver.y) for u in ids)),
+            lambda ids=ids: modify_shadow(share, ids),
+        ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
