@@ -3,15 +3,24 @@
 Every scheme in this toolkit consumes hashes through the `HashFunction`
 interface, so the production SHA-256 instantiation and the table-driven
 fixture used for known-answer tests are interchangeable without touching
-protocol code.
+protocol code. SHA-256 comes from the OpenSSL that `cryptography` bundles
+for the group kernel and the AEAD; `hashlib` would load a second copy.
 """
 
 from __future__ import annotations
 
-import hashlib
+import copy
 from typing import Mapping, Tuple
 
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
+
 from .group import GroupElement, Scalar
+
+
+def _sha256(data: bytes) -> bytes:
+    digest = Hash(SHA256())
+    digest.update(data)  # one update: hashing R and a 4 MiB m apart moved page faults
+    return digest.finalize()
 
 
 class FixtureMissError(KeyError):
@@ -34,28 +43,44 @@ class HashFunction:
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
         raise NotImplementedError
 
+    def tagged(self, tag: bytes) -> "HashFunction":
+        """This hash with `tag` in front of every input, apart from its untagged uses."""
+        raise NotImplementedError
+
     def hash_to_key(self, element: GroupElement) -> bytes:
         """Derive a 32-byte symmetric key from a group element.
 
         Not reduced mod q: key material must keep its full width.
         """
-        return hashlib.sha256(canonical_encode(element)).digest()
+        return _sha256(canonical_encode(element))
 
 
 class Sha256Hash(HashFunction):
-    """SHA-256 over canonical-encode(element) || message, reduced mod q."""
+    """SHA-256 over tag || canonical-encode(element) || message, reduced mod q.
+
+    The tag (empty unless `tagged`) precedes the fixed-width element: after
+    it, an untagged hash of tag || message would collide with it.
+    """
+
+    def __init__(self, tag: bytes = b"") -> None:
+        self.tag = bytes(tag)
+
+    def tagged(self, tag: bytes) -> "Sha256Hash":
+        return Sha256Hash(tag)
 
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
-        digest = hashlib.sha256(canonical_encode(element) + bytes(message)).digest()
+        digest = _sha256(self.tag + canonical_encode(element) + bytes(message))
         return element.group.scalar(int.from_bytes(digest, "big"))
 
 
 class FixtureHash(HashFunction):
     """Table-driven hash for deterministic replay and known-answer tests.
 
-    The table maps (element value, message bytes) to a scalar value. With
+    The table maps (element value, message bytes) to a scalar value; a
+    `tagged` copy shares it, since the table ignores tags. With
     error_on_miss set (the default) lookups outside the table raise;
-    otherwise they fall back to the production SHA-256 hash.
+    otherwise they fall back to the production SHA-256 hash, under the
+    copy's tag.
     """
 
     def __init__(
@@ -67,6 +92,11 @@ class FixtureHash(HashFunction):
         self.table = {(int(e), bytes(m)): int(s) for (e, m), s in table.items()}
         self.error_on_miss = error_on_miss
         self._fallback = Sha256Hash()
+
+    def tagged(self, tag: bytes) -> "FixtureHash":
+        twin = copy.copy(self)
+        twin._fallback = self._fallback.tagged(tag)
+        return twin
 
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
         key = (element.value, bytes(message))

@@ -32,6 +32,9 @@ from .threshold import (
 )
 
 _NONCE_BYTES = 12  # ChaCha20-Poly1305 (RFC 8439)
+# The response hashes (R, c) under this tag, so no ciphertext reads as a
+# threshold signature over c, nor a signature as a ciphertext.
+_RESPONSE_TAG = b"dirsig/gencrypt"
 
 
 class SenderAuthenticationError(Exception):
@@ -47,7 +50,8 @@ class ThresholdCiphertext:
     """The broadcast (s, w, ciphertext, masked shares, threshold).
 
     The response s binds the ciphertext bytes, so the quorum can
-    authenticate the sender before attempting decryption.
+    authenticate the sender before attempting decryption. The cipher
+    nonce is checked here, before any member step runs.
     """
 
     s: Scalar
@@ -60,6 +64,8 @@ class ThresholdCiphertext:
     def __post_init__(self) -> None:
         if not self.ciphertext:
             raise ValueError("ciphertext must be nonempty")
+        if len(self.nonce) != _NONCE_BYTES:
+            raise ValueError(f"cipher nonce must be {_NONCE_BYTES} bytes, got {len(self.nonce)}")
         _check_threshold(self.threshold, len(self.masked_shares))
 
 
@@ -79,8 +85,8 @@ def encrypt_to_group(
 
     The session key is derived from the fresh commitment g^k1; the share
     dealing is identical to threshold signing. The response is computed
-    over the ciphertext (s = k1 + x*h(g^k1, c)), which the quorum can
-    check before decrypting.
+    over the ciphertext under the encryption tag (s = k1 + x*h(g^k1, c)),
+    which the quorum can check before decrypting.
     """
     rng = rng or random.SystemRandom()
     k1, w, commitment, masked = _deal_masked_shares(group, directory, k, rng, nonces, polynomial)
@@ -88,7 +94,7 @@ def encrypt_to_group(
     cipher_nonce = rng.getrandbits(8 * _NONCE_BYTES).to_bytes(_NONCE_BYTES, "big")
     ciphertext = ChaCha20Poly1305(key).encrypt(cipher_nonce, bytes(message), None)
     return ThresholdCiphertext(
-        s=respond(k1, sender, commitment, ciphertext, h),
+        s=respond(k1, sender, commitment, ciphertext, h.tagged(_RESPONSE_TAG)),
         w=w,
         nonce=cipher_nonce,
         ciphertext=ciphertext,
@@ -122,7 +128,8 @@ def decrypt_with_quorum(
         for member, u in quorum
     ]
 
-    accept, r_elem = _combine(group, ct, partials, sender_pub, ct.ciphertext, h)
+    tagged = h.tagged(_RESPONSE_TAG)
+    accept, r_elem = _combine(group, ct, partials, sender_pub, ct.ciphertext, tagged)
     if not accept:
         raise SenderAuthenticationError("rebuilt commitment does not match the response")
 

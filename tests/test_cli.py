@@ -707,3 +707,25 @@ def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):
     assert len(calls) == (k - 1) + 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("R=") and out[1:] == ["accept"]
+
+
+def test_gdecrypt_rejects_a_short_cipher_nonce_before_any_member_step(
+    toy_env, tmp_path, capsys, monkeypatch
+):
+    _, group_file, message_file = toy_env
+    common = ("--group", group_file, "--keystore", tmp_path, "--sender", "alice")
+    ct = tmp_path / "ct.json"
+    assert run(
+        "gencrypt", *common, "--k", 1, "--member", "bob=1",
+        "--message-file", message_file, "--out", ct,
+    ) == 0
+    ct.write_text(json.dumps({**json.loads(ct.read_text()), "nonce": "00"}))
+    powers = []
+    real_pow = GroupElement.__pow__
+    monkeypatch.setattr(
+        GroupElement, "__pow__", lambda self, e: powers.append(e) or real_pow(self, e)
+    )
+    capsys.readouterr()
+    assert run("gdecrypt", *common, "--ct", ct, "--member", "bob=1") == 3
+    assert powers == []  # no key was loaded and no member step ran
+    assert "cipher nonce must be 12 bytes" in capsys.readouterr().err

@@ -8,8 +8,20 @@ import pytest
 from dirsig.group import keygen
 from dirsig.hashing import Sha256Hash
 from dirsig.shamir import ThresholdRangeError
-from dirsig.threshold import GroupDirectory, GroupMember, MaskedShare, QuorumSizeError
+from dirsig.threshold import (
+    GroupDirectory,
+    GroupMember,
+    MaskedShare,
+    QuorumSizeError,
+    ThresholdSignature,
+    combine_and_verify,
+    modify_shadow,
+    partial_result,
+    recover_share,
+    sign_for_group,
+)
 from dirsig.threshold_crypto import (
+    _RESPONSE_TAG,
     DecryptionAuthenticationError,
     SenderAuthenticationError,
     ThresholdCiphertext,
@@ -177,3 +189,54 @@ def test_production_size_round_trip(big_group):
         assert decrypt_with_quorum(
             big_group, ct, _quorum(big_group, members, ids), sender.y
         ) == PLAINTEXT
+
+
+def _partials(group, sig, members, ids):
+    quorum = _quorum(group, members, ids)
+    quorum_ids = [u for _, u in quorum]
+    return [
+        partial_result(group, modify_shadow(recover_share(group, sig, key, u), quorum_ids))
+        for key, u in quorum
+    ]
+
+
+def test_a_ciphertext_is_no_threshold_signature_over_its_body(big_group):
+    """The encryption response is tagged, so repackaging it signs nothing."""
+    rng = random.Random(3)
+    sender, members, directory = _setup(big_group, rng, 3)
+    ct = encrypt_to_group(big_group, sender, directory, 2, PLAINTEXT, rng)
+
+    def forged_verifies(message):
+        forged = ThresholdSignature(
+            s=ct.s, w=ct.w, message=message,
+            masked_shares=ct.masked_shares, threshold=ct.threshold,
+        )
+        partials = _partials(big_group, forged, members, (1, 2))
+        return combine_and_verify(big_group, forged, partials, sender.y)
+
+    assert not forged_verifies(ct.ciphertext)
+    assert not forged_verifies(_RESPONSE_TAG + ct.ciphertext)
+
+
+def test_a_threshold_signature_is_no_ciphertext(big_group):
+    rng = random.Random(3)
+    signer, members, directory = _setup(big_group, rng, 3)
+    sig = sign_for_group(big_group, signer, directory, 2, PLAINTEXT, rng)
+    reread = ThresholdCiphertext(
+        s=sig.s, w=sig.w, nonce=bytes(12), ciphertext=sig.message,
+        masked_shares=sig.masked_shares, threshold=sig.threshold,
+    )
+    with pytest.raises(SenderAuthenticationError):
+        decrypt_with_quorum(big_group, reread, _quorum(big_group, members, (1, 2)), signer.y)
+
+
+@pytest.mark.parametrize("length", [0, 11, 13])
+def test_cipher_nonce_must_be_twelve_bytes(toy_group, length):
+    rng = random.Random(149)
+    sender, members, directory = _setup(toy_group, rng, 2)
+    ct = encrypt_to_group(toy_group, sender, directory, 2, PLAINTEXT, rng)
+    with pytest.raises(ValueError, match="nonce"):
+        ThresholdCiphertext(
+            s=ct.s, w=ct.w, nonce=bytes(length), ciphertext=ct.ciphertext,
+            masked_shares=ct.masked_shares, threshold=ct.threshold,
+        )
