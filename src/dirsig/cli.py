@@ -2,7 +2,10 @@
 
 The threshold steps are split per party on purpose — each member's view
 (recover, shadow, partial) runs as its own command so multi-party flows
-can be simulated honestly from files.
+can be simulated honestly from files. Every artifact goes to the file
+named by `--out` (or `--commitment-out`, `--nonce-out`, the keystore);
+stdout carries only status lines, never a key, nonce, share, shadow,
+partial, commitment or plaintext.
 
 Exit codes: 0 success, 2 verification failure, 3 input error, 4 internal
 error. Failures print `error: <code>: <detail>` on stderr.
@@ -11,7 +14,6 @@ error. Failures print `error: <code>: <detail>` on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ from .threshold import (
     MemberNotFoundError,
     QuorumMembershipError,
     QuorumSizeError,
-    _combine,
+    combine_and_verify,
     modify_shadow,
     partial_result,
     recover_share,
@@ -114,19 +116,6 @@ def _config(args) -> CliConfig:
     )
 
 
-def _emit(args, data: dict, *, private: bool = False) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        serialize.save_json(out, data, private=private)
-    elif args.format == "hex":
-        for key, value in data.items():
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-            print(f"{key}={value}")
-    else:
-        print(json.dumps(data, indent=2, sort_keys=True))
-
-
 def _fail_verification(code: str, detail: str) -> int:
     print(f"error: {code}: {detail}", file=sys.stderr)
     return EXIT_VERIFY
@@ -164,7 +153,7 @@ def _directory_from_args(cfg: CliConfig, args) -> GroupDirectory:
 
 def cmd_paramgen(args, cfg: CliConfig) -> int:
     group = generate_group(args.p_bits, args.q_bits, cfg.rng)
-    _emit(args, serialize.group_to_dict(group))
+    serialize.save_json(args.out, serialize.group_to_dict(group))
     return EXIT_OK
 
 
@@ -206,7 +195,7 @@ def cmd_prove_signer(args, cfg: CliConfig) -> int:
     nonces = cfg.read(serialize.nonce_state_from_dict, args.nonces)
     third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
     proof = prove_by_signer(cfg.group, nonces, third_pub)
-    _emit(args, serialize.proof_to_dict(proof))
+    serialize.save_json(args.out, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
@@ -215,7 +204,7 @@ def cmd_prove_receiver(args, cfg: CliConfig) -> int:
     receiver = cfg.keystore.load_keypair(cfg.group, args.receiver)
     third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
     proof = prove_by_receiver(cfg.group, commitment, receiver, third_pub, cfg.rng)
-    _emit(args, serialize.proof_to_dict(proof))
+    serialize.save_json(args.out, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
@@ -244,21 +233,21 @@ def cmd_trecover(args, cfg: CliConfig) -> int:
     sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
     member = cfg.keystore.load_keypair(cfg.group, args.member)
     share = recover_share(cfg.group, sig, member, _identity(cfg.group, args.u))
-    _emit(args, serialize.share_to_dict(share), private=True)
+    serialize.save_json(args.out, serialize.share_to_dict(share), private=True)
     return EXIT_OK
 
 
 def cmd_tshadow(args, cfg: CliConfig) -> int:
     share = cfg.read(serialize.share_from_dict, args.share)
     shadow = modify_shadow(share, [_identity(cfg.group, u) for u in args.quorum.split(",")])
-    _emit(args, serialize.shadow_to_dict(shadow), private=True)
+    serialize.save_json(args.out, serialize.shadow_to_dict(shadow), private=True)
     return EXIT_OK
 
 
 def cmd_tpartial(args, cfg: CliConfig) -> int:
     shadow = cfg.read(serialize.shadow_from_dict, args.shadow)
     partial = partial_result(cfg.group, shadow)
-    _emit(args, serialize.partial_to_dict(partial))
+    serialize.save_json(args.out, serialize.partial_to_dict(partial))
     return EXIT_OK
 
 
@@ -266,9 +255,7 @@ def cmd_tcombine(args, cfg: CliConfig) -> int:
     sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
     partials = [cfg.read(serialize.partial_from_dict, path) for path in args.partials]
     signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
-    accept, r_elem = _combine(cfg.group, sig, partials, signer_pub, sig.message, cfg.hash_fn)
-    print(f"R={serialize.int_to_hex(r_elem.value)}")
-    if not accept:
+    if not combine_and_verify(cfg.group, sig, partials, signer_pub, cfg.hash_fn):
         return _fail_verification("verification-failed", "threshold verification rejected")
     print("accept")
     return EXIT_OK
@@ -289,12 +276,9 @@ def cmd_gdecrypt(args, cfg: CliConfig) -> int:
     sender_pub = cfg.keystore.load_public(cfg.group, args.sender)
     quorum = _named_members(cfg, args.member, cfg.keystore.load_keypair)
     message = decrypt_with_quorum(cfg.group, ct, quorum, sender_pub, cfg.hash_fn)
-    if args.out:
-        with _open_output(args.out, "wb", private=True) as fh:  # the quorum's secret
-            fh.write(message)
-        print(f"wrote {args.out}")
-    else:
-        print(serialize.bytes_to_hex(message))
+    with _open_output(args.out, "wb", private=True) as fh:  # the quorum's secret
+        fh.write(message)
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -362,7 +346,6 @@ def _build_parser() -> _ArgumentParser:
         "--hash", metavar="MODE", default="sha256", help="sha256 or fixture:FILE"
     )
     common.add_argument("--seed", metavar="HEX", help="deterministic rng seed (testing only)")
-    common.add_argument("--format", choices=("json", "hex"), default="json")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -384,7 +367,7 @@ def _build_parser() -> _ArgumentParser:
     p = command("paramgen", cmd_paramgen, "generate group parameters")
     p.add_argument("--p-bits", type=int, default=512)
     p.add_argument("--q-bits", type=int, default=160)
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("keygen", cmd_keygen, "generate a named key pair")
     p.add_argument("name")
@@ -405,13 +388,13 @@ def _build_parser() -> _ArgumentParser:
     p = command("prove-signer", cmd_prove_signer, "signer proof for a third party")
     p.add_argument("--nonces", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party")
     p.add_argument("--commitment", required=True, metavar="FILE")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--third-party", required=True, metavar="NAME")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("cverify", cmd_cverify, "verify as a third party")
     p.add_argument("--sig", required=True, metavar="FILE")
@@ -425,16 +408,16 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--member", required=True, metavar="NAME")
     p.add_argument("--u", required=True, metavar="HEX")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("tshadow", cmd_tshadow, "scale a share for a quorum")
     p.add_argument("--share", required=True, metavar="FILE")
     p.add_argument("--quorum", required=True, metavar="HEX,HEX,...")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result")
     p.add_argument("--shadow", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     p = command("tcombine", cmd_tcombine, "combine partials and verify")
     p.add_argument("--sig", required=True, metavar="FILE")
@@ -447,7 +430,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--ct", required=True, metavar="FILE")
     p.add_argument("--sender", required=True, metavar="NAME")
     p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE")
 
     command("replay-example", cmd_replay_example, "print the deterministic toy walkthrough")
 

@@ -9,7 +9,7 @@ ordinary verification equation on the substituted components.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
@@ -64,8 +64,8 @@ class SignerNonceState:
     secret material: anyone holding it can unmask the commitment.
     """
 
-    k1: Scalar
-    k2: Scalar
+    k1: Scalar = field(repr=False)
+    k2: Scalar = field(repr=False)
     signature: DirectedSignature
 
 
@@ -73,8 +73,9 @@ class SignerNonceState:
 class RecoveredCommitment:
     """The unmasked commitment R = g^k1 and its message hash."""
 
-    r_elem: GroupElement
-    r_hash: Scalar
+    # designation-sensitive: anyone holding R can check g^s = R·y^h
+    r_elem: GroupElement = field(repr=False)
+    r_hash: Scalar = field(repr=False)
 
 
 @dataclass(frozen=True)

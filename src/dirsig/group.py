@@ -13,7 +13,7 @@ all other big-integer operations do not attempt constant time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from cryptography.exceptions import UnsupportedAlgorithm
@@ -290,7 +290,7 @@ class GroupElement:
 class KeyPair:
     """A private exponent x and its public element y = g^x mod p."""
 
-    x: Scalar
+    x: Scalar = field(repr=False)  # secret
     y: GroupElement
 
     @classmethod

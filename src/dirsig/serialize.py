@@ -175,10 +175,16 @@ def _decode(table, group: SchnorrGroup, data):
     """Build the artifact `table` describes from untrusted JSON, or raise."""
     build, rows = table
     values = fields(data, tuple(key for key, _, _ in rows))
-    return build(**{
+    kwargs = {
         attr: _decode_field(group, key, kind, value)
         for (key, attr, kind), value in zip(rows, values)
-    })
+    }
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a subclass (threshold-range, share-id) keeps its slug
+            raise
+        raise SerializationError(str(exc)) from exc
 
 
 def _decode_field(group: SchnorrGroup, key: str, kind, value):
@@ -277,7 +283,11 @@ def keypair_to_dict(keypair: KeyPair) -> dict:
 
 def keypair_from_dict(group: SchnorrGroup, data: dict) -> KeyPair:
     x, y = fields(data, ("x", "y"))
-    keypair = KeyPair.from_private(group, hex_to_int(x))
+    x = hex_to_int(x)
+    try:
+        keypair = KeyPair.from_private(group, x)
+    except ValueError as exc:  # x outside [1, q-1]
+        raise SerializationError(str(exc)) from exc
     if keypair.y.value != hex_to_int(y):
         raise SerializationError("stored public key does not match the private key")
     return keypair

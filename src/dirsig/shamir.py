@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -21,14 +21,14 @@ class ThresholdRangeError(ValueError):
 @dataclass(frozen=True)
 class Share:
     u: Scalar  # public identity
-    v: Scalar  # polynomial value f(u)
+    v: Scalar = field(repr=False)  # polynomial value f(u), a secret
 
 
 @dataclass(frozen=True)
 class SharingPolynomial:
     """f(x) = secret + b_1*x + ... + b_{k-1}*x^{k-1} over Z_q."""
 
-    coefficients: tuple[Scalar, ...]
+    coefficients: tuple[Scalar, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if not self.coefficients:

@@ -11,7 +11,7 @@ fixed setup exists: everything is decided per signature.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from .directed import check_response, mask, respond, unmask
@@ -91,7 +91,7 @@ class ModifiedShadow:
     """A recovered share scaled by its Lagrange weight at zero."""
 
     u: Scalar
-    value: Scalar
+    value: Scalar = field(repr=False)
 
 
 @dataclass(frozen=True)

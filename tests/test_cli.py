@@ -1,12 +1,17 @@
 """Command-line workflows driven end-to-end from files."""
 
+import itertools
 import json
 import os
 import random
+import re
+import shlex
 import stat
 import subprocess
 import sys
 from contextlib import contextmanager
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,8 @@ from dirsig.group import GroupElement, keygen
 from dirsig.keystore import Keystore
 
 from conftest import MSG
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -201,7 +208,7 @@ def test_ciphertext_threshold_out_of_range_is_reported_as_such(toy_env, tmp_path
     capsys.readouterr()
     assert run(
         "gdecrypt", "--group", group_file, "--keystore", tmp_path,
-        "--ct", ct, "--sender", "alice", "--member", "bob=1",
+        "--ct", ct, "--sender", "alice", "--member", "bob=1", "--out", tmp_path / "m.out",
     ) == 3
     assert "threshold-range" in capsys.readouterr().err
 
@@ -224,12 +231,12 @@ def test_malformed_threshold_documents_are_input_errors(toy_env, capsys, bad):
     capsys.readouterr()
     assert run(
         "trecover", "--group", group_file, "--keystore", tmp_path,
-        "--sig", tsig, "--member", "bob", "--u", "1",
+        "--sig", tsig, "--member", "bob", "--u", "1", "--out", tmp_path / "share.json",
     ) == 3
     assert "parse-error" in capsys.readouterr().err
     assert run(
         "gdecrypt", "--group", group_file, "--keystore", tmp_path,
-        "--ct", ct, "--sender", "alice", "--member", "bob=1",
+        "--ct", ct, "--sender", "alice", "--member", "bob=1", "--out", tmp_path / "m.out",
     ) == 3
     assert "parse-error" in capsys.readouterr().err
 
@@ -286,8 +293,8 @@ def test_threshold_workflow_two_quorums(toy_env, capsys):
         "--message-file", message_file, "--out", tsig,
     ) == 0
 
+    capsys.readouterr()
     members = {1: "bob", 2: "carol", 3: "dave"}
-    recovered_r = []
     for quorum in ((1, 2), (2, 3)):
         quorum_arg = ",".join(format(u, "x") for u in quorum)
         partial_files = []
@@ -312,10 +319,7 @@ def test_threshold_workflow_two_quorums(toy_env, capsys):
             "tcombine", "--group", group_file, "--keystore", tmp_path,
             "--sig", tsig, "--signer", "alice", "--partials", *partial_files,
         ) == 0
-        out = capsys.readouterr().out
-        assert "accept" in out
-        recovered_r.append([l for l in out.splitlines() if l.startswith("R=")][0])
-    assert recovered_r[0] == recovered_r[1]
+        assert capsys.readouterr().out == "accept\n"
 
 
 def test_group_encryption_workflow(toy_env, tmp_path):
@@ -347,7 +351,7 @@ def test_gdecrypt_undersized_quorum(toy_env, tmp_path, capsys):
     ) == 0
     assert run(
         "gdecrypt", "--group", group_file, "--keystore", tmp_path,
-        "--ct", ct, "--sender", "alice", "--member", "bob=1",
+        "--ct", ct, "--sender", "alice", "--member", "bob=1", "--out", tmp_path / "m.out",
     ) == 3
     assert "quorum-size" in capsys.readouterr().err
 
@@ -401,21 +405,104 @@ def test_group_file_is_required(toy_env, capsys):
     assert run("replay-example") == 0
 
 
-def test_terse_hex_output_format(toy_env, tmp_path, capsys):
-    tmp_path_env, group_file, message_file = toy_env
-    tsig = tmp_path_env / "tsig.json"
+# each command that makes an artifact, with every required flag but --out
+_ARTIFACT_COMMANDS = {
+    "paramgen": (),
+    "prove-signer": ("--nonces", "sig.json.nonces", "--third-party", "carol"),
+    "prove-receiver": ("--commitment", "c.json", "--receiver", "bob", "--third-party", "carol"),
+    "trecover": ("--sig", "tsig.json", "--member", "bob", "--u", "1"),
+    "tshadow": ("--share", "share.json", "--quorum", "1"),
+    "tpartial": ("--shadow", "shadow.json"),
+    "gdecrypt": ("--ct", "ct.json", "--sender", "alice", "--member", "bob=1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_COMMANDS))
+def test_artifact_commands_require_out(toy_env, capsys, command):
+    """No command prints an artifact in place of writing it."""
+    tmp_path, group_file, _ = toy_env
     assert run(
-        "tsign", "--group", group_file, "--keystore", tmp_path_env,
-        "--signer", "alice", "--k", 1, "--member", "bob=1",
-        "--message-file", message_file, "--out", tsig,
-    ) == 0
-    capsys.readouterr()
+        command, "--group", group_file, "--keystore", tmp_path, *_ARTIFACT_COMMANDS[command]
+    ) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad-arguments: the following arguments are required: --out" in captured.err
+
+
+def test_no_command_takes_a_format_option():
+    parser = dirsig.cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    assert len(commands.choices) == 15
+    for name, command in commands.choices.items():
+        assert "--format" not in command.format_help(), name
+
+
+def test_private_key_outside_its_range_is_a_parse_error(toy_env, capsys):
+    tmp_path, group_file, _ = toy_env
+    bob = tmp_path / "bob.key"
+    bob.write_text(json.dumps({**json.loads(bob.read_text()), "x": "0"}))
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": MSG.hex()}))
     assert run(
-        "trecover", "--group", group_file, "--keystore", tmp_path_env,
-        "--sig", tsig, "--member", "bob", "--u", "1", "--format", "hex",
-    ) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert sorted(line.split("=")[0] for line in lines) == ["u", "v"]
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    assert "error: parse-error: private key must lie in [1, q-1]" in capsys.readouterr().err
+
+
+def _readme_cli_blocks():
+    """The argv lists of each README `sh` block that runs `dirsig`, one list per block."""
+    blocks = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [words for words in map(partial(shlex.split, comments=True), lines) if words]
+        if any(words[0] == "dirsig" for words in commands):
+            assert all(words[0] == "dirsig" for words in commands), commands
+            blocks.append([words[1:] for words in commands])
+    return blocks
+
+
+def test_readme_cli_blocks_run_and_print_no_secret(tmp_path, monkeypatch, capsys):
+    """The README walkthrough, run as written at 512/160 in a fresh directory.
+
+    No command's stdout or stderr holds, in lowercase hex or decimal, a
+    private key, the nonce state, either commitment R, a share, shadow or
+    partial, or the decrypted plaintext.
+    """
+    monkeypatch.chdir(tmp_path)
+    seeds = itertools.count(0x7EAD)  # reproducible, and distinct per command
+    monkeypatch.setattr(random, "SystemRandom", lambda: random.Random(next(seeds)))
+    message = b"wire the funds to account 4242 by friday"
+    Path("m.txt").write_bytes(message)
+    blocks = _readme_cli_blocks()
+    assert len(blocks) == 3  # directed, threshold verification, group encryption
+    printed = []
+    for argv in itertools.chain.from_iterable(blocks):
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        printed += [captured.out, captured.err]
+    text = "\n".join(printed)
+    assert "accept" in text
+
+    def load(path):
+        return {key: int(value, 16) for key, value in json.loads(path.read_text()).items()
+                if isinstance(value, str)}
+
+    group = serialize.group_from_dict(serialize.load_json("group.json"))
+    assert (group.p.bit_length(), group.q.bit_length()) == (512, 160)
+    secrets = [load(path)["x"] for path in Path("ks").glob("*.key")]
+    secrets += [load(Path("sig.json.nonces"))[k] for k in ("k1", "k2")]
+    secrets += load(Path("commit.json")).values()
+    partials = [load(path)["r"] for path in Path().glob("partial*.json")]
+    secrets += partials + [load(path)["v"] for path in Path().glob("share*.json")]
+    secrets += [load(path)["ms"] for path in Path().glob("shadow*.json")]
+    secrets.append(partials[0] * partials[1] % group.p)  # the threshold R
+    assert len(secrets) == 4 + 2 + 2 + 2 * 3 + 1
+    assert Path("m.out").read_bytes() == message
+    secrets.append(int.from_bytes(message, "big"))
+    for value in secrets:
+        assert len(format(value, "x")) >= 32  # too long to be matched by chance
+        assert format(value, "x") not in text.lower() and str(value) not in text
 
 
 def test_module_entry_point_runs():
@@ -449,16 +536,19 @@ def test_identity_arguments_must_be_canonical_below_q(toy_env, capsys, u):
         "--sig", tsig, "--member", "bob", "--u", "1", "--out", share,
     ) == 0
     capsys.readouterr()
+    out = tmp_path / "out.json"
     assert run(
         "trecover", "--group", group_file, "--keystore", tmp_path,
-        "--sig", tsig, "--member", "bob", "--u", u,
+        "--sig", tsig, "--member", "bob", "--u", u, "--out", out,
     ) == 3
     assert "parse-error" in capsys.readouterr().err
-    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", f"{u},2") == 3
+    assert run(
+        "tshadow", "--group", group_file, "--share", share, "--quorum", f"{u},2", "--out", out
+    ) == 3
     assert "parse-error" in capsys.readouterr().err
     assert run(
         "gdecrypt", "--group", group_file, "--keystore", tmp_path, "--ct", ct,
-        "--sender", "alice", "--member", f"bob={u}", "--member", "carol=2",
+        "--sender", "alice", "--member", f"bob={u}", "--member", "carol=2", "--out", out,
     ) == 3
     assert "parse-error" in capsys.readouterr().err
 
@@ -473,7 +563,10 @@ def test_quorum_list_takes_no_spaces_or_empty_items(toy_env, capsys, quorum):
         "--sig", tsig, "--member", "bob", "--u", "1", "--out", share,
     ) == 0
     capsys.readouterr()
-    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", quorum) == 3
+    assert run(
+        "tshadow", "--group", group_file, "--share", share, "--quorum", quorum,
+        "--out", tmp_path / "shadow.json",
+    ) == 3
     assert "parse-error" in capsys.readouterr().err
 
 
@@ -522,7 +615,10 @@ def test_parse_errors_do_not_echo_secrets(tmp_path, big_group, capsys):
     share_value = format(big_group.q - 1, "x")
     share = tmp_path / "share.json"
     share.write_text(json.dumps({"u": "1", "v": share_value.upper()}))
-    assert run("tshadow", "--group", group_file, "--share", share, "--quorum", "1") == 3
+    assert run(
+        "tshadow", "--group", group_file, "--share", share, "--quorum", "1",
+        "--out", tmp_path / "shadow.json",
+    ) == 3
     err = capsys.readouterr().err
     assert "parse-error" in err
     assert share_value.upper() not in err and str(big_group.q - 1) not in err
@@ -705,8 +801,7 @@ def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):
     assert run("tcombine", *common, "--sig", tsig, "--signer", "alice", "--partials", *partials) == 0
     # k - 1 products rebuild R once; the verification equation's R * y^h is one more
     assert len(calls) == (k - 1) + 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("R=") and out[1:] == ["accept"]
+    assert capsys.readouterr().out == "accept\n"
 
 
 def test_gdecrypt_rejects_a_short_cipher_nonce_before_any_member_step(
@@ -726,6 +821,7 @@ def test_gdecrypt_rejects_a_short_cipher_nonce_before_any_member_step(
         GroupElement, "__pow__", lambda self, e: powers.append(e) or real_pow(self, e)
     )
     capsys.readouterr()
-    assert run("gdecrypt", *common, "--ct", ct, "--member", "bob=1") == 3
+    plain = tmp_path / "m.out"
+    assert run("gdecrypt", *common, "--ct", ct, "--member", "bob=1", "--out", plain) == 3
     assert powers == []  # no key was loaded and no member step ran
-    assert "cipher nonce must be 12 bytes" in capsys.readouterr().err
+    assert "error: parse-error: cipher nonce must be 12 bytes" in capsys.readouterr().err

@@ -196,14 +196,18 @@ def cli_env(tmp_path_factory, toy_group, toy_keys):
         assert main([str(a) for a in (*argv, *base, "--seed", "5")]) == 0
     commands = {
         "sig": ("dverify", "--receiver", "bob", "--signer", "alice", "--sig"),
-        "tsig": ("trecover", "--member", "bob", "--u", "1", "--sig"),
-        "ct": ("gdecrypt", "--sender", "alice", *members, "--ct"),
+        "tsig": ("trecover", "--member", "bob", "--u", "1", "--out", root / "share.json", "--sig"),
+        "ct": ("gdecrypt", "--sender", "alice", *members, "--out", root / "m.out", "--ct"),
     }
     fuzzed = root / "fuzzed.json"
-    return fuzzed, [
+    cases = [
         (json.loads(out[name].read_text()), [str(a) for a in (*cmd, fuzzed, *base)])
         for name, cmd in commands.items()
     ]
+    for valid, argv in cases:  # unmutated, each command gets past its parser
+        fuzzed.write_text(json.dumps(valid))
+        assert main(argv) == 0
+    return fuzzed, cases
 
 
 @_FUZZ

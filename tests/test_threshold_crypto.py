@@ -104,12 +104,12 @@ def test_undersized_quorum_rejected(toy_group):
         decrypt_with_quorum(toy_group, ct, _quorum(toy_group, members, (1,)), sender.y)
 
 
-def test_corrupted_share_fails_sender_authentication(toy_group):
+def test_corrupted_share_fails_sender_authentication(big_group):
     rng = random.Random(113)
-    sender, members, directory = _setup(toy_group, rng, 3)
-    ct = encrypt_to_group(toy_group, sender, directory, 2, PLAINTEXT, rng)
+    sender, members, directory = _setup(big_group, rng, 3)
+    ct = encrypt_to_group(big_group, sender, directory, 2, PLAINTEXT, rng)
     tampered_shares = tuple(
-        MaskedShare(u=ms.u, v=(ms.v + 1) % toy_group.p) if ms.u.value == 1 else ms
+        MaskedShare(u=ms.u, v=(ms.v + 1) % big_group.p) if ms.u.value == 1 else ms
         for ms in ct.masked_shares
     )
     tampered = ThresholdCiphertext(
@@ -118,7 +118,7 @@ def test_corrupted_share_fails_sender_authentication(toy_group):
     )
     with pytest.raises(SenderAuthenticationError):
         decrypt_with_quorum(
-            toy_group, tampered, _quorum(toy_group, members, (1, 2)), sender.y
+            big_group, tampered, _quorum(big_group, members, (1, 2)), sender.y
         )
 
 
@@ -139,12 +139,12 @@ def test_corrupted_cipher_nonce_fails_tag_check(toy_group):
         )
 
 
-def test_corrupted_ciphertext_fails_sender_authentication(toy_group):
+def test_corrupted_ciphertext_fails_sender_authentication(big_group):
     """Ciphertext bytes are bound by the response, so corruption is caught
     before any decryption is attempted."""
     rng = random.Random(131)
-    sender, members, directory = _setup(toy_group, rng, 3)
-    ct = encrypt_to_group(toy_group, sender, directory, 2, PLAINTEXT, rng)
+    sender, members, directory = _setup(big_group, rng, 3)
+    ct = encrypt_to_group(big_group, sender, directory, 2, PLAINTEXT, rng)
     body = bytearray(ct.ciphertext)
     body[0] ^= 1
     tampered = ThresholdCiphertext(
@@ -153,7 +153,7 @@ def test_corrupted_ciphertext_fails_sender_authentication(toy_group):
     )
     with pytest.raises(SenderAuthenticationError):
         decrypt_with_quorum(
-            toy_group, tampered, _quorum(toy_group, members, (1, 2)), sender.y
+            big_group, tampered, _quorum(big_group, members, (1, 2)), sender.y
         )
 
 
