@@ -98,21 +98,20 @@ class CliConfig:
 
 def _config(args) -> CliConfig:
     group = None
-    if args.group:
+    if args.group is not None:
         group = serialize.group_from_dict(serialize.load_json(args.group))
-    elif args.func not in (cmd_paramgen, cmd_replay_example):
-        raise _UsageError("--group FILE is required for this command")
     if args.hash == "sha256":
         hash_fn: HashFunction = DEFAULT_HASH
     elif args.hash.startswith("fixture:") and args.hash[len("fixture:"):]:
         hash_fn = FixtureHash.from_file(args.hash[len("fixture:"):])
     else:
         raise _UsageError(f"--hash must be sha256 or fixture:FILE, got {args.hash!r}")
+    seed = None if args.seed is None else serialize.hex_to_int(args.seed)
     return CliConfig(
         group=group,
         keystore=Keystore(args.keystore),
         hash_fn=hash_fn,
-        rng=random.Random(int(args.seed, 16)) if args.seed else random.SystemRandom(),
+        rng=random.SystemRandom() if seed is None else random.Random(seed),
     )
 
 
@@ -140,13 +139,9 @@ def _named_members(cfg: CliConfig, entries, load_key) -> list:
     return pairs
 
 
-def _directory_from_args(cfg: CliConfig, args) -> GroupDirectory:
-    if args.directory:
-        return cfg.read(serialize.directory_from_dict, args.directory)
-    if args.member:
-        members = _named_members(cfg, args.member, cfg.keystore.load_public)
-        return GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
-    raise _UsageError("provide --directory FILE or --member NAME=UHEX entries")
+def _member_directory(cfg: CliConfig, entries) -> GroupDirectory:
+    members = _named_members(cfg, entries, cfg.keystore.load_public)
+    return GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
 
 
 # -- commands -----------------------------------------------------------------
@@ -221,7 +216,7 @@ def cmd_cverify(args, cfg: CliConfig) -> int:
 
 def cmd_tsign(args, cfg: CliConfig) -> int:
     signer = cfg.keystore.load_keypair(cfg.group, args.signer)
-    directory = _directory_from_args(cfg, args)
+    directory = _member_directory(cfg, args.member)
     message = Path(args.message_file).read_bytes()
     sig = sign_for_group(cfg.group, signer, directory, args.k, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.threshold_signature_to_dict(sig))
@@ -263,7 +258,7 @@ def cmd_tcombine(args, cfg: CliConfig) -> int:
 
 def cmd_gencrypt(args, cfg: CliConfig) -> int:
     sender = cfg.keystore.load_keypair(cfg.group, args.sender)
-    directory = _directory_from_args(cfg, args)
+    directory = _member_directory(cfg, args.member)
     message = Path(args.message_file).read_bytes()
     ct = encrypt_to_group(cfg.group, sender, directory, args.k, message, cfg.rng, cfg.hash_fn)
     serialize.save_json(args.out, serialize.ciphertext_to_dict(ct))
@@ -334,69 +329,72 @@ def cmd_replay_example(args, cfg: CliConfig) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+# the options several commands take
+_SHARED = {
+    "--group": dict(required=True, metavar="FILE", help="group parameter file"),
+    "--keystore": dict(metavar="DIR", help="key directory"),
+    "--hash": dict(metavar="MODE", help="sha256 or fixture:FILE"),
+    "--seed": dict(metavar="HEX", help="deterministic rng seed (testing only)"),
+    "--out": dict(required=True, metavar="FILE"),
+}
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="dirsig",
         description="Directed signatures with threshold verification and group encryption.",
     )
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--group", metavar="FILE", help="group parameter file")
-    common.add_argument("--keystore", metavar="DIR", default=".", help="key directory")
-    common.add_argument(
-        "--hash", metavar="MODE", default="sha256", help="sha256 or fixture:FILE"
-    )
-    common.add_argument("--seed", metavar="HEX", help="deterministic rng seed (testing only)")
-
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
+    def command(name, func, help_text, shared=""):
+        # defaults first: a shared option takes its default from them, as does a command without it
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, group=None, keystore=".", hash="sha256", seed=None)
+        for option in shared.split():
+            p.add_argument(option, **_SHARED[option])
         return p
 
     def dealing_command(name, func, role, help_text):
-        """A command that deals masked shares to a directory: tsign, gencrypt."""
-        p = command(name, func, help_text)
+        """A command that deals masked shares to its members: tsign, gencrypt."""
+        p = command(name, func, help_text, "--group --keystore --hash --seed --out")
         p.add_argument(role, required=True, metavar="NAME")
-        p.add_argument("--directory", metavar="FILE")
-        p.add_argument("--member", action="append", metavar="NAME=UHEX")
+        p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
         p.add_argument("--k", required=True, type=int)
         p.add_argument("--message-file", required=True, metavar="FILE")
-        p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("paramgen", cmd_paramgen, "generate group parameters")
+    p = command("paramgen", cmd_paramgen, "generate group parameters", "--seed --out")
     p.add_argument("--p-bits", type=int, default=512)
     p.add_argument("--q-bits", type=int, default=160)
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("keygen", cmd_keygen, "generate a named key pair")
+    p = command("keygen", cmd_keygen, "generate a named key pair", "--group --keystore --seed")
     p.add_argument("name")
 
-    p = command("sign", cmd_sign, "directed-sign a message")
+    p = command("sign", cmd_sign, "directed-sign a message",
+                "--group --keystore --hash --seed --out")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--message-file", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--nonce-out", metavar="FILE", help="default OUT.nonces")
 
-    p = command("dverify", cmd_dverify, "verify as the designated receiver")
+    p = command("dverify", cmd_dverify, "verify as the designated receiver",
+                "--group --keystore --hash")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--commitment-out", metavar="FILE")
 
-    p = command("prove-signer", cmd_prove_signer, "signer proof for a third party")
+    p = command("prove-signer", cmd_prove_signer, "signer proof for a third party",
+                "--group --keystore --out")
     p.add_argument("--nonces", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party")
+    p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party",
+                "--group --keystore --seed --out")
     p.add_argument("--commitment", required=True, metavar="FILE")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--third-party", required=True, metavar="NAME")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("cverify", cmd_cverify, "verify as a third party")
+    p = command("cverify", cmd_cverify, "verify as a third party", "--group --keystore --hash")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--proof", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
@@ -404,33 +402,31 @@ def _build_parser() -> _ArgumentParser:
 
     dealing_command("tsign", cmd_tsign, "--signer", "sign for k-of-n group verification")
 
-    p = command("trecover", cmd_trecover, "recover one member's share")
+    p = command("trecover", cmd_trecover, "recover one member's share", "--group --keystore --out")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--member", required=True, metavar="NAME")
     p.add_argument("--u", required=True, metavar="HEX")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("tshadow", cmd_tshadow, "scale a share for a quorum")
+    p = command("tshadow", cmd_tshadow, "scale a share for a quorum", "--group --out")
     p.add_argument("--share", required=True, metavar="FILE")
     p.add_argument("--quorum", required=True, metavar="HEX,HEX,...")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result")
+    p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result", "--group --out")
     p.add_argument("--shadow", required=True, metavar="FILE")
-    p.add_argument("--out", required=True, metavar="FILE")
 
-    p = command("tcombine", cmd_tcombine, "combine partials and verify")
+    p = command("tcombine", cmd_tcombine, "combine partials and verify",
+                "--group --keystore --hash")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--partials", required=True, nargs="+", metavar="FILE")
 
     dealing_command("gencrypt", cmd_gencrypt, "--sender", "encrypt to a k-of-n group")
 
-    p = command("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members")
+    p = command("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members",
+                "--group --keystore --hash --out")
     p.add_argument("--ct", required=True, metavar="FILE")
     p.add_argument("--sender", required=True, metavar="NAME")
     p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-    p.add_argument("--out", required=True, metavar="FILE")
 
     command("replay-example", cmd_replay_example, "print the deterministic toy walkthrough")
 
@@ -472,7 +468,7 @@ def main(argv=None) -> int:
             if isinstance(exc, klass):
                 print(f"error: {slug}: {exc}", file=sys.stderr)
                 return code
-        print(f"error: internal-error: {exc!r}", file=sys.stderr)
+        print(f"error: internal-error: {type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

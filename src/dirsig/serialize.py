@@ -33,14 +33,7 @@ from .directed import (
 from .group import KeyPair, Scalar, SchnorrGroup
 from .schnorr import SchnorrSignature
 from .shamir import Share
-from .threshold import (
-    GroupDirectory,
-    GroupMember,
-    MaskedShare,
-    ModifiedShadow,
-    PartialResult,
-    ThresholdSignature,
-)
+from .threshold import MaskedShare, ModifiedShadow, PartialResult, ThresholdSignature
 from .threshold_crypto import ThresholdCiphertext
 
 
@@ -244,8 +237,6 @@ _SHARE = (Share, (("u", "u", SCALAR), ("v", "v", SCALAR)))
 _SHADOW = (ModifiedShadow, (("u", "u", SCALAR), ("ms", "value", SCALAR)))
 # wire format a networked combiner would consume
 _PARTIAL = (PartialResult, (("u", "u", SCALAR), ("r", "value", ELEMENT)))
-_MEMBER = (GroupMember, (("u", "u", SCALAR), ("y", "y", ELEMENT)))
-_DIRECTORY = (GroupDirectory, (("members", "members", [_MEMBER]),))
 _CIPHERTEXT = (ThresholdCiphertext, (
     ("s", "s", SCALAR), ("w", "w", ELEMENT), ("k", "threshold", THRESHOLD),
     ("c", "ciphertext", BYTES), ("nonce", "nonce", BYTES),
@@ -260,7 +251,6 @@ threshold_signature_to_dict, threshold_signature_from_dict = _codec(_THRESHOLD_S
 share_to_dict, share_from_dict = _codec(_SHARE)
 shadow_to_dict, shadow_from_dict = _codec(_SHADOW)
 partial_to_dict, partial_from_dict = _codec(_PARTIAL)
-directory_to_dict, directory_from_dict = _codec(_DIRECTORY)
 ciphertext_to_dict, ciphertext_from_dict = _codec(_CIPHERTEXT)
 public_key_to_dict, public_key_from_dict = _codec(_PUBLIC_KEY)
 

@@ -99,7 +99,7 @@ class PartialResult:
     """One member's contribution g^shadow to the combiner's product."""
 
     u: Scalar
-    value: GroupElement
+    value: GroupElement = field(repr=False)  # any k of one quorum multiply into R
 
 
 def _deal_masked_shares(

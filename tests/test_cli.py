@@ -401,29 +401,147 @@ def test_input_error_paths(toy_env, tmp_path, capsys):
 def test_group_file_is_required(toy_env, capsys):
     tmp_path, _, _ = toy_env
     assert run("keygen", "erin", "--keystore", tmp_path) == 3
-    assert "--group FILE is required" in capsys.readouterr().err
+    assert "bad-arguments: the following arguments are required: --group" in (
+        capsys.readouterr().err
+    )
+    assert run("keygen", "erin", "--group", "", "--keystore", tmp_path) == 3
+    assert "file-not-found" in capsys.readouterr().err
     assert run("replay-example") == 0
 
 
-# each command that makes an artifact, with every required flag but --out
+# every command's options and positionals: the shared ones it reads, then its own
+_OPTIONS = {
+    "paramgen": "--seed --out --p-bits --q-bits",
+    "keygen": "--group --keystore --seed name",
+    "sign": "--group --keystore --hash --seed --out --signer --receiver --message-file --nonce-out",
+    "dverify": "--group --keystore --hash --receiver --signer --sig --commitment-out",
+    "prove-signer": "--group --keystore --out --nonces --third-party",
+    "prove-receiver": "--group --keystore --seed --out --commitment --receiver --third-party",
+    "cverify": "--group --keystore --hash --sig --proof --third-party --signer",
+    "tsign": "--group --keystore --hash --seed --out --signer --member --k --message-file",
+    "trecover": "--group --keystore --out --sig --member --u",
+    "tshadow": "--group --out --share --quorum",
+    "tpartial": "--group --out --shadow",
+    "tcombine": "--group --keystore --hash --sig --signer --partials",
+    "gencrypt": "--group --keystore --hash --seed --out --sender --member --k --message-file",
+    "gdecrypt": "--group --keystore --hash --out --ct --sender --member",
+    "replay-example": "",
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = dirsig.cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    taken = {
+        name: [a.option_strings[0] if a.option_strings else a.dest
+               for a in command._actions if a.dest != "help"]
+        for name, command in commands.choices.items()
+    }
+    assert taken == {name: options.split() for name, options in _OPTIONS.items()}
+    for name, command in commands.choices.items():
+        group = [a for a in command._actions if a.dest == "group"]
+        assert all(a.required for a in group), name
+
+
+def test_shared_options_a_command_does_not_take_keep_their_defaults():
+    parser = dirsig.cli._build_parser()
+    args = parser.parse_args(["tshadow", "--group", "g", "--share", "s", "--quorum", "1",
+                              "--out", "o"])
+    assert (args.group, args.keystore, args.hash, args.seed) == ("g", ".", "sha256", None)
+    args = parser.parse_args(["replay-example"])
+    assert (args.group, args.keystore, args.hash, args.seed) == (None, ".", "sha256", None)
+
+
+# an option the command does not take (a shared one it does not read, or the removed
+# --directory), with every file it names missing
+_UNREAD_OPTIONS = {
+    "paramgen --group": ("paramgen", "--group", "missing.json", "--out", "g.json"),
+    "tshadow --keystore": ("tshadow", "--group", "missing.json", "--keystore", "missing",
+                           "--share", "missing.json", "--quorum", "1", "--out", "o.json"),
+    "keygen --hash": ("keygen", "erin", "--group", "missing.json",
+                      "--hash", "fixture:missing.json"),
+    "dverify --seed": ("dverify", "--group", "missing.json", "--seed", "5", "--receiver", "bob",
+                       "--signer", "alice", "--sig", "missing.json"),
+    "replay-example --group": ("replay-example", "--group", "missing.json"),
+    "tsign --directory": ("tsign", "--group", "missing.json", "--directory", "missing.json",
+                          "--signer", "alice", "--member", "bob=1", "--k", "1",
+                          "--message-file", "missing.bin", "--out", "t.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD_OPTIONS))
+def test_options_a_command_does_not_read_are_bad_arguments(tmp_path, monkeypatch, capsys, case):
+    """Rejected by the parser: a read of any named file would be file-not-found."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*_UNREAD_OPTIONS[case]) == 3
+    captured = capsys.readouterr()
+    option = case.split()[1]
+    assert captured.err.startswith(f"error: bad-arguments: unrecognized arguments: {option} ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, role", [("tsign", "--signer"), ("gencrypt", "--sender")])
+def test_dealing_commands_require_members(toy_env, capsys, command, role):
+    tmp_path, group_file, message_file = toy_env
+    out = tmp_path / "out.json"
+    assert run(
+        command, "--group", group_file, "--keystore", tmp_path, role, "alice", "--k", 1,
+        "--message-file", message_file, "--out", out,
+    ) == 3
+    assert "bad-arguments: the following arguments are required: --member" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["05", "0x5", " 0X5_0", "-5", ""])
+def test_seed_takes_only_canonical_hex(toy_env, capsys, seed):
+    """int(seed, 16) took the first four, and Random(-5) repeats Random(5)'s nonces;
+    an empty seed fell back to the system rng."""
+    tmp_path, group_file, _ = toy_env
+    common = ("--group", group_file, "--keystore", tmp_path)
+    assert run("keygen", "erin", *common, "--seed", seed) == 3
+    assert "parse-error" in capsys.readouterr().err
+    assert not (tmp_path / "erin.key").exists()
+    assert run("keygen", "erin", *common, "--seed", "5") == 0
+
+
+def test_internal_error_names_only_the_exception_type(monkeypatch, capsys):
+    secret = "0123456789abcdef" * 2 + "01234567"  # 40 hex digits
+
+    def fail(args, cfg):
+        raise RuntimeError(secret)
+
+    monkeypatch.setattr(dirsig.cli, "cmd_replay_example", fail)
+    assert run("replay-example") == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal-error: RuntimeError\n"
+    assert secret not in captured.out
+
+
+# each command that makes an artifact, with every required flag but --out; run in the
+# keystore directory, so the default --keystore . finds the keys
 _ARTIFACT_COMMANDS = {
     "paramgen": (),
-    "prove-signer": ("--nonces", "sig.json.nonces", "--third-party", "carol"),
-    "prove-receiver": ("--commitment", "c.json", "--receiver", "bob", "--third-party", "carol"),
-    "trecover": ("--sig", "tsig.json", "--member", "bob", "--u", "1"),
-    "tshadow": ("--share", "share.json", "--quorum", "1"),
-    "tpartial": ("--shadow", "shadow.json"),
-    "gdecrypt": ("--ct", "ct.json", "--sender", "alice", "--member", "bob=1"),
+    "prove-signer": ("--group", "group.json", "--nonces", "sig.json.nonces",
+                     "--third-party", "carol"),
+    "prove-receiver": ("--group", "group.json", "--commitment", "c.json", "--receiver", "bob",
+                       "--third-party", "carol"),
+    "trecover": ("--group", "group.json", "--sig", "tsig.json", "--member", "bob", "--u", "1"),
+    "tshadow": ("--group", "group.json", "--share", "share.json", "--quorum", "1"),
+    "tpartial": ("--group", "group.json", "--shadow", "shadow.json"),
+    "gdecrypt": ("--group", "group.json", "--ct", "ct.json", "--sender", "alice",
+                 "--member", "bob=1"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(_ARTIFACT_COMMANDS))
-def test_artifact_commands_require_out(toy_env, capsys, command):
+def test_artifact_commands_require_out(toy_env, monkeypatch, capsys, command):
     """No command prints an artifact in place of writing it."""
-    tmp_path, group_file, _ = toy_env
-    assert run(
-        command, "--group", group_file, "--keystore", tmp_path, *_ARTIFACT_COMMANDS[command]
-    ) == 3
+    tmp_path, _, _ = toy_env
+    monkeypatch.chdir(tmp_path)
+    assert run(command, *_ARTIFACT_COMMANDS[command]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad-arguments: the following arguments are required: --out" in captured.err
@@ -724,11 +842,11 @@ def test_secret_files_are_0600_from_their_first_byte(
         "trecover", *common, "--sig", f["tsig.json"], "--member", "bob", "--u", "1",
         "--out", f["share.json"],
     ) == 0
+    member = ("--group", group_file)  # the member steps read no key
     assert run(
-        "tshadow", *common, "--share", f["share.json"], "--quorum", "1",
-        "--out", f["shadow.json"],
+        "tshadow", *member, "--share", f["share.json"], "--quorum", "1", "--out", f["shadow.json"]
     ) == 0
-    assert run("tpartial", *common, "--shadow", f["shadow.json"], "--out", f["partial.json"]) == 0
+    assert run("tpartial", *member, "--shadow", f["shadow.json"], "--out", f["partial.json"]) == 0
 
     for name, path in f.items():
         want = 0o600 if name in secret else 0o644
@@ -785,8 +903,10 @@ def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):
         assert run(
             "trecover", *common, "--sig", tsig, "--member", name, "--u", u, "--out", share
         ) == 0
-        assert run("tshadow", *common, "--share", share, "--quorum", "1,2,3", "--out", shadow) == 0
-        assert run("tpartial", *common, "--shadow", shadow, "--out", partial) == 0
+        assert run(
+            "tshadow", "--group", group_file, "--share", share, "--quorum", "1,2,3", "--out", shadow
+        ) == 0
+        assert run("tpartial", "--group", group_file, "--shadow", shadow, "--out", partial) == 0
         partials.append(partial)
     capsys.readouterr()
 

@@ -102,7 +102,6 @@ def _documents(toy_group, toy_keys, toy_directory, fixture_hash):
         "share": Share(u=toy_group.scalar(1), v=toy_group.scalar(4)),
         "shadow": ModifiedShadow(u=toy_group.scalar(1), value=toy_group.scalar(7)),
         "partial": PartialResult(u=toy_group.scalar(1), value=toy_group.element(9)),
-        "directory": toy_directory,
         "ciphertext": encrypt_to_group(
             toy_group, signer, toy_directory, 2, MSG, random.Random(7)
         ),

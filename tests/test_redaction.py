@@ -2,7 +2,8 @@
 
 A debugger, a traceback with locals or a log line formats artifacts with
 `repr`, so the dataclasses that hold a key, nonce, share, shadow, sharing
-polynomial or recovered commitment leave those fields out of it.
+polynomial, recovered commitment or partial result leave those fields
+out of it.
 """
 
 import random
@@ -14,6 +15,7 @@ from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
     modify_shadow,
+    partial_result,
     recover_share,
     sign_for_group,
 )
@@ -39,6 +41,7 @@ def test_no_secret_in_repr_or_str(big_group):
     )
     share = recover_share(big_group, tsig, receiver, ids[0])
     shadow = modify_shadow(share, ids)
+    partial = partial_result(big_group, shadow)
 
     cases = [
         (signer, [signer.x]),
@@ -47,6 +50,7 @@ def test_no_secret_in_repr_or_str(big_group):
         (polynomial, list(polynomial.coefficients)),
         (share, [share.v]),
         (shadow, [shadow.value]),
+        (partial, [partial.value]),  # any k of one quorum multiply into R
     ]
     for artifact, secrets in cases:
         for text in (repr(artifact), str(artifact)):

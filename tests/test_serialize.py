@@ -18,8 +18,6 @@ from dirsig.serialize import (
     commitment_to_dict,
     directed_signature_from_dict,
     directed_signature_to_dict,
-    directory_from_dict,
-    directory_to_dict,
     group_from_dict,
     group_to_dict,
     bytes_to_hex,
@@ -255,16 +253,6 @@ def test_share_shadow_partial_round_trips(toy_group):
     data = partial_to_dict(partial)
     assert set(data) == {"u", "r"}
     assert partial_from_dict(toy_group, data) == partial
-
-
-def test_directory_round_trip(toy_group, toy_directory):
-    data = directory_to_dict(toy_directory)
-    assert directory_from_dict(toy_group, data) == toy_directory
-    dup = {"members": [data["members"][0], data["members"][0]]}
-    with pytest.raises(ValueError):
-        directory_from_dict(toy_group, dup)
-    with pytest.raises(SerializationError):
-        directory_from_dict(toy_group, {"members": 5})
 
 
 def test_ciphertext_round_trip(toy_group, toy_keys, toy_directory):

@@ -198,6 +198,12 @@ def test_duplicate_partials_rejected(toy_group, toy_keys, toy_directory, fixture
         )
 
 
+def test_directory_rejects_duplicate_ids(toy_group, toy_directory):
+    first = toy_directory.members[0]
+    with pytest.raises(ShareIdError):
+        GroupDirectory(members=(first, GroupMember(u=first.u, y=toy_directory.members[1].y)))
+
+
 def test_unknown_member_rejected(toy_group, toy_keys, toy_directory, fixture_hash):
     sig = _golden_signature(toy_group, toy_keys, toy_directory, fixture_hash)
     with pytest.raises(MemberNotFoundError):
