@@ -32,8 +32,6 @@ from .group import (
     GenerationError,
     GroupParameterError,
     KeyPair,
-    NonInvertibleError,
-    NotInSubgroupError,
     Scalar,
     SchnorrGroup,
     generate_group,
@@ -359,12 +357,12 @@ def _build_parser() -> _ArgumentParser:
         p = command(name, func, help_text, "--group --keystore --hash --seed --out")
         p.add_argument(role, required=True, metavar="NAME")
         p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-        p.add_argument("--k", required=True, type=int)
+        p.add_argument("--k", required=True, type=serialize.decimal_to_int)
         p.add_argument("--message-file", required=True, metavar="FILE")
 
     p = command("paramgen", cmd_paramgen, "generate group parameters", "--seed --out")
-    p.add_argument("--p-bits", type=int, default=512)
-    p.add_argument("--q-bits", type=int, default=160)
+    p.add_argument("--p-bits", type=serialize.decimal_to_int, default=512)
+    p.add_argument("--q-bits", type=serialize.decimal_to_int, default=160)
 
     p = command("keygen", cmd_keygen, "generate a named key pair", "--group --keystore --seed")
     p.add_argument("name")
@@ -443,13 +441,11 @@ _ERROR_CODES = (
     (KeystoreError, EXIT_INPUT, "keystore-error"),
     (FixtureMissError, EXIT_INPUT, "fixture-miss"),
     (GroupParameterError, EXIT_INPUT, "invalid-group"),
-    (NotInSubgroupError, EXIT_INPUT, "invalid-element"),
     (MemberNotFoundError, EXIT_INPUT, "member-not-found"),
     (QuorumSizeError, EXIT_INPUT, "quorum-size"),
     (QuorumMembershipError, EXIT_INPUT, "quorum-membership"),
     (ShareIdError, EXIT_INPUT, "share-id"),
     (ThresholdRangeError, EXIT_INPUT, "threshold-range"),
-    (NonInvertibleError, EXIT_INPUT, "non-invertible"),
     (GenerationError, EXIT_INTERNAL, "generation-timeout"),
     (ValueError, EXIT_INPUT, "bad-arguments"),
 )

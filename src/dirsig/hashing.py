@@ -66,14 +66,16 @@ class Sha256Hash(HashFunction):
         self.tag = bytes(tag)
 
     def tagged(self, tag: bytes) -> "Sha256Hash":
-        return Sha256Hash(tag)
+        twin = copy.copy(self)  # a fixture's copy shares its table
+        twin.tag = bytes(tag)
+        return twin
 
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
         digest = _sha256(self.tag + canonical_encode(element) + bytes(message))
         return element.group.scalar(int.from_bytes(digest, "big"))
 
 
-class FixtureHash(HashFunction):
+class FixtureHash(Sha256Hash):
     """Table-driven hash for deterministic replay and known-answer tests.
 
     The table maps (element value, message bytes) to a scalar value; a
@@ -89,14 +91,9 @@ class FixtureHash(HashFunction):
         *,
         error_on_miss: bool = True,
     ) -> None:
+        super().__init__()
         self.table = {(int(e), bytes(m)): int(s) for (e, m), s in table.items()}
         self.error_on_miss = error_on_miss
-        self._fallback = Sha256Hash()
-
-    def tagged(self, tag: bytes) -> "FixtureHash":
-        twin = copy.copy(self)
-        twin._fallback = self._fallback.tagged(tag)
-        return twin
 
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
         key = (element.value, bytes(message))
@@ -105,7 +102,7 @@ class FixtureHash(HashFunction):
         if self.error_on_miss:
             # the element is R, designation-sensitive: name no value
             raise FixtureMissError("no fixture entry for this element and message")
-        return self._fallback.hash_to_scalar(element, message)
+        return super().hash_to_scalar(element, message)
 
     @classmethod
     def from_file(cls, path) -> "FixtureHash":

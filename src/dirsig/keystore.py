@@ -46,8 +46,5 @@ class Keystore:
         return serialize.keypair_from_dict(group, serialize.load_json(self.keypair_path(name)))
 
     def load_public(self, group: SchnorrGroup, name: str) -> GroupElement:
-        """Load NAME.pub, falling back to the public half of NAME.key."""
-        pub_path = self.public_path(name)
-        if pub_path.exists():
-            return serialize.public_key_from_dict(group, serialize.load_json(pub_path))
-        return self.load_keypair(group, name).y
+        """Load NAME.pub, and only it: another party's NAME.key is never opened."""
+        return serialize.public_key_from_dict(group, serialize.load_json(self.public_path(name)))

@@ -10,8 +10,8 @@ here, so protocol code can assume well-formed values. Files go through
 
 Each artifact is described once, by a table of `(json key, attribute,
 kind)` rows that drives both `_encode` and `_decode`, so every document
-the decoder accepts re-encodes byte-identical. Only the group, the key
-pair, the proof-flavour sniff and the fixture hash table are hand-written.
+the decoder accepts re-encodes byte-identical. Only the proof-flavour
+sniff and the fixture hash table are hand-written.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import re
 from contextlib import contextmanager
 from functools import partial
-from typing import Union
+from typing import Optional, Union
 
 from .directed import (
     DirectedSignature,
@@ -31,7 +31,6 @@ from .directed import (
     SignerProof,
 )
 from .group import KeyPair, Scalar, SchnorrGroup
-from .schnorr import SchnorrSignature
 from .shamir import Share
 from .threshold import MaskedShare, ModifiedShadow, PartialResult, ThresholdSignature
 from .threshold_crypto import ThresholdCiphertext
@@ -135,7 +134,7 @@ def load_json(path) -> dict:
 
 
 class MalformedSignatureError(SerializationError):
-    """A signature document carries out-of-range or non-member fields."""
+    """A document carries out-of-range or non-member fields."""
 
 
 # Field kinds. A kind is one of these names, another artifact's table (a
@@ -145,6 +144,7 @@ ELEMENT = "element"  # GroupElement, hex of a subgroup member
 MASKED = "masked"  # int in Z_p: a masked share lies outside the subgroup
 BYTES = "bytes"  # bytes, even-length lowercase hex
 THRESHOLD = "threshold"  # JSON integer
+INTEGER = "integer"  # int, hex of any size: the artifact's constructor checks its range
 
 
 def _encode(table, obj) -> dict:
@@ -153,7 +153,7 @@ def _encode(table, obj) -> dict:
 
 
 def _encode_field(kind, value):
-    if kind in (SCALAR, ELEMENT, MASKED):
+    if kind in (SCALAR, ELEMENT, MASKED, INTEGER):
         return int_to_hex(int(value))
     if kind == BYTES:
         return bytes_to_hex(value)
@@ -164,7 +164,7 @@ def _encode_field(kind, value):
     return _encode(kind, value)
 
 
-def _decode(table, group: SchnorrGroup, data):
+def _decode(table, group: Optional[SchnorrGroup], data):
     """Build the artifact `table` describes from untrusted JSON, or raise."""
     build, rows = table
     values = fields(data, tuple(key for key, _, _ in rows))
@@ -180,7 +180,7 @@ def _decode(table, group: SchnorrGroup, data):
         raise SerializationError(str(exc)) from exc
 
 
-def _decode_field(group: SchnorrGroup, key: str, kind, value):
+def _decode_field(group: Optional[SchnorrGroup], key: str, kind, value):
     if kind == THRESHOLD:
         # bool is a subclass of int, and true must not read as threshold 1
         if not isinstance(value, int) or isinstance(value, bool):
@@ -193,6 +193,8 @@ def _decode_field(group: SchnorrGroup, key: str, kind, value):
     if not isinstance(kind, str):
         return _decode(kind, group, value)
     number = hex_to_int(value)
+    if kind == INTEGER:
+        return number
     if kind == SCALAR:
         if number >= group.q:
             raise MalformedSignatureError(f"field {key!r} is not reduced mod q")
@@ -214,8 +216,18 @@ def _codec(table):
 
 # -- the artifact tables ------------------------------------------------------
 
+def _stored_keypair(x: Scalar, y: int) -> KeyPair:
+    """The key pair of a key file, whose y must be g^x."""
+    keypair = KeyPair.from_private(x.group, x.value)  # x = 0 is a ValueError there
+    if keypair.y.value != y:
+        raise ValueError("stored public key does not match the private key")
+    return keypair
+
+
+# no group exists yet to range-check p, q, g against: SchnorrGroup validates them
+_GROUP = (SchnorrGroup, (("p", "p", INTEGER), ("q", "q", INTEGER), ("g", "g", INTEGER)))
+_KEYPAIR = (_stored_keypair, (("x", "x", SCALAR), ("y", "y", INTEGER)))
 _PUBLIC_KEY = (lambda value: value, (("y", "value", ELEMENT),))  # a bare element: y is its value
-_SCHNORR_SIGNATURE = (SchnorrSignature, (("r", "r", SCALAR), ("s", "s", SCALAR)))
 _DIRECTED_SIGNATURE = (DirectedSignature, (
     ("s", "s", SCALAR), ("w", "w", ELEMENT), ("v", "v", ELEMENT), ("m", "message", BYTES),
 ))
@@ -243,7 +255,8 @@ _CIPHERTEXT = (ThresholdCiphertext, (
     ("shares", "masked_shares", [_MASKED_SHARE]),
 ))
 
-schnorr_signature_to_dict, schnorr_signature_from_dict = _codec(_SCHNORR_SIGNATURE)
+group_to_dict, group_from_dict = partial(_encode, _GROUP), partial(_decode, _GROUP, None)
+keypair_to_dict, keypair_from_dict = _codec(_KEYPAIR)
 directed_signature_to_dict, directed_signature_from_dict = _codec(_DIRECTED_SIGNATURE)
 nonce_state_to_dict, nonce_state_from_dict = _codec(_NONCE_STATE)
 commitment_to_dict, commitment_from_dict = _codec(_COMMITMENT)
@@ -256,32 +269,6 @@ public_key_to_dict, public_key_from_dict = _codec(_PUBLIC_KEY)
 
 
 # -- the hand-written formats -------------------------------------------------
-
-def group_to_dict(group: SchnorrGroup) -> dict:
-    return {"p": int_to_hex(group.p), "q": int_to_hex(group.q), "g": int_to_hex(group.g)}
-
-
-def group_from_dict(data: dict) -> SchnorrGroup:
-    # no group exists yet to range-check against; construction validates
-    p, q, g = fields(data, ("p", "q", "g"))
-    return SchnorrGroup(p=hex_to_int(p), q=hex_to_int(q), g=hex_to_int(g))
-
-
-def keypair_to_dict(keypair: KeyPair) -> dict:
-    return {"x": int_to_hex(keypair.x.value), "y": int_to_hex(keypair.y.value)}
-
-
-def keypair_from_dict(group: SchnorrGroup, data: dict) -> KeyPair:
-    x, y = fields(data, ("x", "y"))
-    x = hex_to_int(x)
-    try:
-        keypair = KeyPair.from_private(group, x)
-    except ValueError as exc:  # x outside [1, q-1]
-        raise SerializationError(str(exc)) from exc
-    if keypair.y.value != hex_to_int(y):
-        raise SerializationError("stored public key does not match the private key")
-    return keypair
-
 
 def proof_to_dict(proof: Union[SignerProof, ReceiverProof]) -> dict:
     return _encode(_RECEIVER_PROOF if isinstance(proof, ReceiverProof) else _SIGNER_PROOF, proof)

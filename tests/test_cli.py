@@ -507,6 +507,53 @@ def test_seed_takes_only_canonical_hex(toy_env, capsys, seed):
     assert run("keygen", "erin", *common, "--seed", "5") == 0
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--k", "+0_1"), ("--k", "\u0661"), ("--k", "01"),
+    ("--p-bits", " 9_6"), ("--p-bits", "096"), ("--q-bits", "+32"),
+])
+def test_integer_options_take_only_canonical_decimal(toy_env, capsys, option, value):
+    """type=int took Python's integer syntax: "+0_1" and an Arabic-Indic one each
+    dealt a signature, and " 9_6" built a 96-bit group."""
+    tmp_path, group_file, message_file = toy_env
+    out = tmp_path / "out.json"
+    if option == "--k":
+        argv = ("tsign", "--group", group_file, "--keystore", tmp_path, "--signer", "alice",
+                "--member", "bob=1", "--member", "carol=2", "--message-file", message_file)
+        canonical = {"--k": "2"}
+    else:
+        argv = ("paramgen", "--seed", "5")
+        canonical = {"--p-bits": "96", "--q-bits": "32"}
+    assert run(*argv, *itertools.chain(*{**canonical, option: value}.items()), "--out", out) == 3
+    assert "bad-arguments" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, *itertools.chain(*canonical.items()), "--out", out) == 0
+
+
+def test_every_integer_option_is_canonical_decimal():
+    parser = dirsig.cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    typed = {
+        (name, action.dest): action.type
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if action.type is not None
+    }
+    decimal = serialize.decimal_to_int
+    assert typed == {
+        ("paramgen", "p_bits"): decimal, ("paramgen", "q_bits"): decimal,
+        ("tsign", "k"): decimal, ("gencrypt", "k"): decimal,
+    }
+
+
+def test_a_directory_in_place_of_a_file_is_file_not_found(toy_env, capsys):
+    tmp_path, group_file, _ = toy_env
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", tmp_path,
+    ) == 3
+    assert capsys.readouterr().err.startswith("error: file-not-found: ")
+
+
 def test_internal_error_names_only_the_exception_type(monkeypatch, capsys):
     secret = "0123456789abcdef" * 2 + "01234567"  # 40 hex digits
 
@@ -566,6 +613,44 @@ def test_private_key_outside_its_range_is_a_parse_error(toy_env, capsys):
         "--receiver", "bob", "--signer", "alice", "--sig", sig,
     ) == 3
     assert "error: parse-error: private key must lie in [1, q-1]" in capsys.readouterr().err
+
+
+def test_private_key_not_reduced_mod_q_is_malformed(toy_env, toy_group, capsys):
+    tmp_path, group_file, _ = toy_env
+    bob = tmp_path / "bob.key"
+    bob.write_text(json.dumps({**json.loads(bob.read_text()), "x": format(toy_group.q, "x")}))
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": MSG.hex()}))
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig,
+    ) == 3
+    assert "error: malformed-signature: field 'x' is not reduced mod q" in capsys.readouterr().err
+
+
+def test_public_key_is_read_only_from_its_pub_file(toy_env, monkeypatch, capsys):
+    """With alice.pub gone, dverify must not take alice's y from alice.key, her private key."""
+    tmp_path, group_file, message_file = toy_env
+    common = ("--group", group_file, "--keystore", tmp_path)
+    sig = tmp_path / "sig.json"
+    assert run(
+        "sign", *common, "--signer", "alice", "--receiver", "bob",
+        "--message-file", message_file, "--out", sig, "--seed", "5",
+    ) == 0
+    (tmp_path / "alice.pub").unlink()
+    loaded = []
+    load_keypair = Keystore.load_keypair
+
+    def recording_load_keypair(self, group, name):
+        loaded.append(name)
+        return load_keypair(self, group, name)
+
+    monkeypatch.setattr(Keystore, "load_keypair", recording_load_keypair)
+    capsys.readouterr()
+    assert run("dverify", *common, "--receiver", "bob", "--signer", "alice", "--sig", sig) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: file-not-found: ") and "alice.pub" in err
+    assert loaded == ["bob"]
 
 
 def _readme_cli_blocks():

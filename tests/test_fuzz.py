@@ -20,7 +20,6 @@ from dirsig.cli import main
 from dirsig.directed import prove_by_receiver, prove_by_signer, sign_directed, verify_directed
 from dirsig.group import is_probable_prime
 from dirsig.keystore import Keystore
-from dirsig.schnorr import schnorr_sign
 from dirsig.shamir import Share
 from dirsig.threshold import ModifiedShadow, PartialResult, sign_for_group
 from dirsig.threshold_crypto import encrypt_to_group
@@ -94,7 +93,6 @@ def _documents(toy_group, toy_keys, toy_directory, fixture_hash):
         toy_group, signer, toy_directory, 2, MSG, h=fixture_hash, nonces=(9, 5), polynomial=(9, 3)
     )
     artifacts = {
-        "schnorr_signature": schnorr_sign(toy_group, signer, MSG, h=fixture_hash, nonce=9),
         "directed_signature": sig,
         "nonce_state": nonces,
         "commitment": commitment,
@@ -216,6 +214,45 @@ def test_cli_exits_cleanly_on_mutated_inputs(cli_env, data):
     for valid, argv in cases:
         fuzzed.write_text(json.dumps(_mutate(valid, data)))
         assert main(argv) in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def key_file_env(tmp_path_factory, big_group):
+    """A 512/160 keystore, alice's signature to bob, and the dverify that reads bob.key."""
+    root = tmp_path_factory.mktemp("key_fuzz")
+    group = root / "group.json"
+    serialize.save_json(group, serialize.group_to_dict(big_group))
+    message = root / "m.bin"
+    message.write_bytes(MSG)
+    sig = root / "sig.json"
+    base = ("--group", group, "--keystore", root)
+    for argv in (
+        ("keygen", "alice", "--seed", "a"),
+        ("keygen", "bob", "--seed", "b"),
+        ("sign", "--signer", "alice", "--receiver", "bob", "--message-file", message,
+         "--out", sig, "--seed", "5"),
+    ):
+        assert main([str(a) for a in (*argv, *base)]) == 0
+    argv = [str(a) for a in ("dverify", "--receiver", "bob", "--signer", "alice", "--sig", sig,
+                             *base)]
+    assert main(argv) == 0
+    return root / "bob.key", json.loads((root / "bob.key").read_text()), argv
+
+
+@_FUZZ
+@given(data=st.data())
+def test_cli_prints_no_secret_on_a_mutated_key_file(key_file_env, data):
+    """dverify fed a mutated bob.key exits 0, 2 or 3, and shows bob's x on no stream."""
+    key, valid, argv = key_file_env
+    x = int(valid["x"], 16)
+    assert len(format(x, "x")) >= 32  # too long to be matched by chance
+    key.write_text(json.dumps(_mutate(valid, data)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    printed = out.getvalue() + err.getvalue()
+    assert format(x, "x") not in printed.lower() and str(x) not in printed
 
 
 @pytest.fixture(scope="module")

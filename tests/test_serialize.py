@@ -33,8 +33,6 @@ from dirsig.serialize import (
     partial_to_dict,
     proof_from_dict,
     proof_to_dict,
-    schnorr_signature_from_dict,
-    schnorr_signature_to_dict,
     shadow_from_dict,
     shadow_to_dict,
     share_from_dict,
@@ -42,7 +40,6 @@ from dirsig.serialize import (
     threshold_signature_from_dict,
     threshold_signature_to_dict,
 )
-from dirsig.schnorr import schnorr_sign
 from dirsig.shamir import Share
 from dirsig.threshold import ModifiedShadow, PartialResult, sign_for_group
 from dirsig.threshold_crypto import encrypt_to_group
@@ -182,11 +179,6 @@ def test_keypair_mismatch_rejected(toy_group):
         keypair_from_dict(toy_group, {"x": "4", "y": "2"})
 
 
-def test_schnorr_signature_round_trip(toy_group, toy_keys, fixture_hash):
-    sig = schnorr_sign(toy_group, toy_keys["signer"], MSG, h=fixture_hash, nonce=9)
-    assert schnorr_signature_from_dict(toy_group, schnorr_signature_to_dict(sig)) == sig
-
-
 def test_directed_signature_round_trip(toy_group, toy_keys, fixture_hash):
     sig, nonces = sign_directed(
         toy_group, toy_keys["signer"], toy_keys["receiver"].y, MSG,
@@ -275,9 +267,10 @@ def test_keystore_round_trip(tmp_path, toy_group):
     assert mode == 0o600
     assert store.load_keypair(toy_group, "alice") == keypair
     assert store.load_public(toy_group, "alice") == keypair.y
-    # public lookup works from the .key file when no .pub exists
+    # a public key is read from NAME.pub only, never from the private key file
     store.public_path("alice").unlink()
-    assert store.load_public(toy_group, "alice") == keypair.y
+    with pytest.raises(FileNotFoundError):
+        store.load_public(toy_group, "alice")
 
 
 def test_keystore_rejects_path_tricks(tmp_path):
