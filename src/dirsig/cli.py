@@ -5,7 +5,10 @@ The threshold steps are split per party on purpose — each member's view
 can be simulated honestly from files. Every artifact goes to the file
 named by `--out` (or `--commitment-out`, `--nonce-out`, the keystore);
 stdout carries only status lines, never a key, nonce, share, shadow,
-partial, commitment or plaintext.
+partial, commitment or plaintext. No option makes a run repeat: keys and
+nonces always come from the OS CSPRNG and every hash is SHA-256, since a
+nonce used twice gives away the signer's key. Injected nonces, seeded
+rngs and table hashes are library arguments, for tests.
 
 Exit codes: 0 success, 2 verification failure, 3 input error, 4 internal
 error. Failures print `error: <code>: <detail>` on stderr.
@@ -14,11 +17,8 @@ error. Failures print `error: <code>: <detail>` on stderr.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import serialize
 from .directed import (
@@ -37,7 +37,7 @@ from .group import (
     generate_group,
     keygen,
 )
-from .hashing import DEFAULT_HASH, FixtureHash, FixtureMissError, HashFunction
+from .hashing import FixtureHash
 from .keystore import Keystore, KeystoreError
 from .serialize import MalformedSignatureError, SerializationError, _open_output
 from .shamir import ShareIdError, ThresholdRangeError
@@ -77,40 +77,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class CliConfig:
-    """Per-invocation configuration, resolved once in `main`.
-
-    `group` is set for every command but paramgen and replay-example.
-    """
-
-    group: Optional[SchnorrGroup]
-    keystore: Keystore
-    hash_fn: HashFunction
-    rng: random.Random
-
-    def read(self, from_dict, path):
-        """Parse the artifact in file `path` with a `serialize.*_from_dict`."""
-        return from_dict(self.group, serialize.load_json(path))
+def _read(args, from_dict, path):
+    """Parse the artifact in file `path` with a `serialize.*_from_dict`."""
+    return from_dict(args.group, serialize.load_json(path))
 
 
-def _config(args) -> CliConfig:
-    group = None
-    if args.group is not None:
-        group = serialize.group_from_dict(serialize.load_json(args.group))
-    if args.hash == "sha256":
-        hash_fn: HashFunction = DEFAULT_HASH
-    elif args.hash.startswith("fixture:") and args.hash[len("fixture:"):]:
-        hash_fn = FixtureHash.from_file(args.hash[len("fixture:"):])
-    else:
-        raise _UsageError(f"--hash must be sha256 or fixture:FILE, got {args.hash!r}")
-    seed = None if args.seed is None else serialize.hex_to_int(args.seed)
-    return CliConfig(
-        group=group,
-        keystore=Keystore(args.keystore),
-        hash_fn=hash_fn,
-        rng=random.SystemRandom() if seed is None else random.Random(seed),
-    )
+def _decimal(text: str) -> int:
+    """An integer option (`--k`, `--p-bits`, `--q-bits`): canonical decimal."""
+    try:
+        return serialize.decimal_to_int(text)
+    except SerializationError as exc:  # argparse would name this function and echo the value
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _fail_verification(code: str, detail: str) -> int:
@@ -126,42 +103,42 @@ def _identity(group: SchnorrGroup, text: str) -> Scalar:
     return group.scalar(u)
 
 
-def _named_members(cfg: CliConfig, entries, load_key) -> list:
+def _named_members(args, entries, load_key) -> list:
     """Parse NAME=UHEX arguments into (load_key(group, NAME), u) pairs."""
     pairs = []
     for entry in entries:
         name, _, u_hex = entry.partition("=")
         if not name or not u_hex:
             raise _UsageError(f"--member expects NAME=UHEX, got {entry!r}")
-        pairs.append((load_key(cfg.group, name), _identity(cfg.group, u_hex)))
+        pairs.append((load_key(args.group, name), _identity(args.group, u_hex)))
     return pairs
 
 
-def _member_directory(cfg: CliConfig, entries) -> GroupDirectory:
-    members = _named_members(cfg, entries, cfg.keystore.load_public)
+def _member_directory(args, entries) -> GroupDirectory:
+    members = _named_members(args, entries, args.keystore.load_public)
     return GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
 
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_paramgen(args, cfg: CliConfig) -> int:
-    group = generate_group(args.p_bits, args.q_bits, cfg.rng)
+def cmd_paramgen(args) -> int:
+    group = generate_group(args.p_bits, args.q_bits)
     serialize.save_json(args.out, serialize.group_to_dict(group))
     return EXIT_OK
 
 
-def cmd_keygen(args, cfg: CliConfig) -> int:
-    keypair = keygen(cfg.group, cfg.rng)
-    cfg.keystore.save_keypair(args.name, keypair)
-    print(f"wrote {cfg.keystore.keypair_path(args.name)} and {cfg.keystore.public_path(args.name)}")
+def cmd_keygen(args) -> int:
+    store = args.keystore
+    store.save_keypair(args.name, keygen(args.group))
+    print(f"wrote {store.keypair_path(args.name)} and {store.public_path(args.name)}")
     return EXIT_OK
 
 
-def cmd_sign(args, cfg: CliConfig) -> int:
-    signer = cfg.keystore.load_keypair(cfg.group, args.signer)
-    receiver_pub = cfg.keystore.load_public(cfg.group, args.receiver)
+def cmd_sign(args) -> int:
+    signer = args.keystore.load_keypair(args.group, args.signer)
+    receiver_pub = args.keystore.load_public(args.group, args.receiver)
     message = Path(args.message_file).read_bytes()
-    sig, nonces = sign_directed(cfg.group, signer, receiver_pub, message, cfg.rng, cfg.hash_fn)
+    sig, nonces = sign_directed(args.group, signer, receiver_pub, message)
     serialize.save_json(args.out, serialize.directed_signature_to_dict(sig))
     nonce_out = args.nonce_out or f"{args.out}.nonces"
     serialize.save_json(nonce_out, serialize.nonce_state_to_dict(nonces), private=True)
@@ -169,11 +146,11 @@ def cmd_sign(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dverify(args, cfg: CliConfig) -> int:
-    sig = cfg.read(serialize.directed_signature_from_dict, args.sig)
-    receiver = cfg.keystore.load_keypair(cfg.group, args.receiver)
-    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
-    accept, commitment = verify_directed(cfg.group, sig, receiver, signer_pub, cfg.hash_fn)
+def cmd_dverify(args) -> int:
+    sig = _read(args, serialize.directed_signature_from_dict, args.sig)
+    receiver = args.keystore.load_keypair(args.group, args.receiver)
+    signer_pub = args.keystore.load_public(args.group, args.signer)
+    accept, commitment = verify_directed(args.group, sig, receiver, signer_pub)
     if args.commitment_out:
         serialize.save_json(
             args.commitment_out, serialize.commitment_to_dict(commitment), private=True
@@ -184,104 +161,104 @@ def cmd_dverify(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_prove_signer(args, cfg: CliConfig) -> int:
-    nonces = cfg.read(serialize.nonce_state_from_dict, args.nonces)
-    third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
-    proof = prove_by_signer(cfg.group, nonces, third_pub)
+def cmd_prove_signer(args) -> int:
+    nonces = _read(args, serialize.nonce_state_from_dict, args.nonces)
+    third_pub = args.keystore.load_public(args.group, args.third_party)
+    proof = prove_by_signer(args.group, nonces, third_pub)
     serialize.save_json(args.out, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
-def cmd_prove_receiver(args, cfg: CliConfig) -> int:
-    commitment = cfg.read(serialize.commitment_from_dict, args.commitment)
-    receiver = cfg.keystore.load_keypair(cfg.group, args.receiver)
-    third_pub = cfg.keystore.load_public(cfg.group, args.third_party)
-    proof = prove_by_receiver(cfg.group, commitment, receiver, third_pub, cfg.rng)
+def cmd_prove_receiver(args) -> int:
+    commitment = _read(args, serialize.commitment_from_dict, args.commitment)
+    receiver = args.keystore.load_keypair(args.group, args.receiver)
+    third_pub = args.keystore.load_public(args.group, args.third_party)
+    proof = prove_by_receiver(args.group, commitment, receiver, third_pub)
     serialize.save_json(args.out, serialize.proof_to_dict(proof))
     return EXIT_OK
 
 
-def cmd_cverify(args, cfg: CliConfig) -> int:
-    sig = cfg.read(serialize.directed_signature_from_dict, args.sig)
-    proof = cfg.read(serialize.proof_from_dict, args.proof)
-    third = cfg.keystore.load_keypair(cfg.group, args.third_party)
-    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
-    if not verify_as_third_party(cfg.group, sig, proof, third, signer_pub, cfg.hash_fn):
+def cmd_cverify(args) -> int:
+    sig = _read(args, serialize.directed_signature_from_dict, args.sig)
+    proof = _read(args, serialize.proof_from_dict, args.proof)
+    third = args.keystore.load_keypair(args.group, args.third_party)
+    signer_pub = args.keystore.load_public(args.group, args.signer)
+    if not verify_as_third_party(args.group, sig, proof, third, signer_pub):
         return _fail_verification("verification-failed", "third-party verification rejected")
     print("accept")
     return EXIT_OK
 
 
-def cmd_tsign(args, cfg: CliConfig) -> int:
-    signer = cfg.keystore.load_keypair(cfg.group, args.signer)
-    directory = _member_directory(cfg, args.member)
+def cmd_tsign(args) -> int:
+    signer = args.keystore.load_keypair(args.group, args.signer)
+    directory = _member_directory(args, args.member)
     message = Path(args.message_file).read_bytes()
-    sig = sign_for_group(cfg.group, signer, directory, args.k, message, cfg.rng, cfg.hash_fn)
+    sig = sign_for_group(args.group, signer, directory, args.k, message)
     serialize.save_json(args.out, serialize.threshold_signature_to_dict(sig))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_trecover(args, cfg: CliConfig) -> int:
-    sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
-    member = cfg.keystore.load_keypair(cfg.group, args.member)
-    share = recover_share(cfg.group, sig, member, _identity(cfg.group, args.u))
+def cmd_trecover(args) -> int:
+    sig = _read(args, serialize.threshold_signature_from_dict, args.sig)
+    member = args.keystore.load_keypair(args.group, args.member)
+    share = recover_share(args.group, sig, member, _identity(args.group, args.u))
     serialize.save_json(args.out, serialize.share_to_dict(share), private=True)
     return EXIT_OK
 
 
-def cmd_tshadow(args, cfg: CliConfig) -> int:
-    share = cfg.read(serialize.share_from_dict, args.share)
-    shadow = modify_shadow(share, [_identity(cfg.group, u) for u in args.quorum.split(",")])
+def cmd_tshadow(args) -> int:
+    share = _read(args, serialize.share_from_dict, args.share)
+    shadow = modify_shadow(share, [_identity(args.group, u) for u in args.quorum.split(",")])
     serialize.save_json(args.out, serialize.shadow_to_dict(shadow), private=True)
     return EXIT_OK
 
 
-def cmd_tpartial(args, cfg: CliConfig) -> int:
-    shadow = cfg.read(serialize.shadow_from_dict, args.shadow)
-    partial = partial_result(cfg.group, shadow)
+def cmd_tpartial(args) -> int:
+    shadow = _read(args, serialize.shadow_from_dict, args.shadow)
+    partial = partial_result(args.group, shadow)
     serialize.save_json(args.out, serialize.partial_to_dict(partial))
     return EXIT_OK
 
 
-def cmd_tcombine(args, cfg: CliConfig) -> int:
-    sig = cfg.read(serialize.threshold_signature_from_dict, args.sig)
-    partials = [cfg.read(serialize.partial_from_dict, path) for path in args.partials]
-    signer_pub = cfg.keystore.load_public(cfg.group, args.signer)
-    if not combine_and_verify(cfg.group, sig, partials, signer_pub, cfg.hash_fn):
+def cmd_tcombine(args) -> int:
+    sig = _read(args, serialize.threshold_signature_from_dict, args.sig)
+    partials = [_read(args, serialize.partial_from_dict, path) for path in args.partials]
+    signer_pub = args.keystore.load_public(args.group, args.signer)
+    if not combine_and_verify(args.group, sig, partials, signer_pub):
         return _fail_verification("verification-failed", "threshold verification rejected")
     print("accept")
     return EXIT_OK
 
 
-def cmd_gencrypt(args, cfg: CliConfig) -> int:
-    sender = cfg.keystore.load_keypair(cfg.group, args.sender)
-    directory = _member_directory(cfg, args.member)
+def cmd_gencrypt(args) -> int:
+    sender = args.keystore.load_keypair(args.group, args.sender)
+    directory = _member_directory(args, args.member)
     message = Path(args.message_file).read_bytes()
-    ct = encrypt_to_group(cfg.group, sender, directory, args.k, message, cfg.rng, cfg.hash_fn)
+    ct = encrypt_to_group(args.group, sender, directory, args.k, message)
     serialize.save_json(args.out, serialize.ciphertext_to_dict(ct))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_gdecrypt(args, cfg: CliConfig) -> int:
-    ct = cfg.read(serialize.ciphertext_from_dict, args.ct)
-    sender_pub = cfg.keystore.load_public(cfg.group, args.sender)
-    quorum = _named_members(cfg, args.member, cfg.keystore.load_keypair)
-    message = decrypt_with_quorum(cfg.group, ct, quorum, sender_pub, cfg.hash_fn)
+def cmd_gdecrypt(args) -> int:
+    ct = _read(args, serialize.ciphertext_from_dict, args.ct)
+    sender_pub = args.keystore.load_public(args.group, args.sender)
+    quorum = _named_members(args, args.member, args.keystore.load_keypair)
+    message = decrypt_with_quorum(args.group, ct, quorum, sender_pub)
     with _open_output(args.out, "wb", private=True) as fh:  # the quorum's secret
         fh.write(message)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_replay_example(args, cfg: CliConfig) -> int:
+def cmd_replay_example(args) -> int:
     """Deterministic walkthrough of the built-in toy example.
 
     Tiny textbook parameters (p=23, q=11, g=3), fixed keys and nonces, and
     a table-driven hash make every intermediate value reproducible.
     """
-    del args, cfg
+    del args
     group = SchnorrGroup(23, 11, 3)
     signer = KeyPair.from_private(group, 4)
     receiver = KeyPair.from_private(group, 7)
@@ -331,8 +308,6 @@ def cmd_replay_example(args, cfg: CliConfig) -> int:
 _SHARED = {
     "--group": dict(required=True, metavar="FILE", help="group parameter file"),
     "--keystore": dict(metavar="DIR", help="key directory"),
-    "--hash": dict(metavar="MODE", help="sha256 or fixture:FILE"),
-    "--seed": dict(metavar="HEX", help="deterministic rng seed (testing only)"),
     "--out": dict(required=True, metavar="FILE"),
 }
 
@@ -347,35 +322,33 @@ def _build_parser() -> _ArgumentParser:
     def command(name, func, help_text, shared=""):
         # defaults first: a shared option takes its default from them, as does a command without it
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, group=None, keystore=".", hash="sha256", seed=None)
+        p.set_defaults(func=func, group=None, keystore=".")
         for option in shared.split():
             p.add_argument(option, **_SHARED[option])
         return p
 
     def dealing_command(name, func, role, help_text):
         """A command that deals masked shares to its members: tsign, gencrypt."""
-        p = command(name, func, help_text, "--group --keystore --hash --seed --out")
+        p = command(name, func, help_text, "--group --keystore --out")
         p.add_argument(role, required=True, metavar="NAME")
         p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-        p.add_argument("--k", required=True, type=serialize.decimal_to_int)
+        p.add_argument("--k", required=True, type=_decimal)
         p.add_argument("--message-file", required=True, metavar="FILE")
 
-    p = command("paramgen", cmd_paramgen, "generate group parameters", "--seed --out")
-    p.add_argument("--p-bits", type=serialize.decimal_to_int, default=512)
-    p.add_argument("--q-bits", type=serialize.decimal_to_int, default=160)
+    p = command("paramgen", cmd_paramgen, "generate group parameters", "--out")
+    p.add_argument("--p-bits", type=_decimal, default=512)
+    p.add_argument("--q-bits", type=_decimal, default=160)
 
-    p = command("keygen", cmd_keygen, "generate a named key pair", "--group --keystore --seed")
+    p = command("keygen", cmd_keygen, "generate a named key pair", "--group --keystore")
     p.add_argument("name")
 
-    p = command("sign", cmd_sign, "directed-sign a message",
-                "--group --keystore --hash --seed --out")
+    p = command("sign", cmd_sign, "directed-sign a message", "--group --keystore --out")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--message-file", required=True, metavar="FILE")
     p.add_argument("--nonce-out", metavar="FILE", help="default OUT.nonces")
 
-    p = command("dverify", cmd_dverify, "verify as the designated receiver",
-                "--group --keystore --hash")
+    p = command("dverify", cmd_dverify, "verify as the designated receiver", "--group --keystore")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--sig", required=True, metavar="FILE")
@@ -387,12 +360,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--third-party", required=True, metavar="NAME")
 
     p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party",
-                "--group --keystore --seed --out")
+                "--group --keystore --out")
     p.add_argument("--commitment", required=True, metavar="FILE")
     p.add_argument("--receiver", required=True, metavar="NAME")
     p.add_argument("--third-party", required=True, metavar="NAME")
 
-    p = command("cverify", cmd_cverify, "verify as a third party", "--group --keystore --hash")
+    p = command("cverify", cmd_cverify, "verify as a third party", "--group --keystore")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--proof", required=True, metavar="FILE")
     p.add_argument("--third-party", required=True, metavar="NAME")
@@ -412,8 +385,7 @@ def _build_parser() -> _ArgumentParser:
     p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result", "--group --out")
     p.add_argument("--shadow", required=True, metavar="FILE")
 
-    p = command("tcombine", cmd_tcombine, "combine partials and verify",
-                "--group --keystore --hash")
+    p = command("tcombine", cmd_tcombine, "combine partials and verify", "--group --keystore")
     p.add_argument("--sig", required=True, metavar="FILE")
     p.add_argument("--signer", required=True, metavar="NAME")
     p.add_argument("--partials", required=True, nargs="+", metavar="FILE")
@@ -421,7 +393,7 @@ def _build_parser() -> _ArgumentParser:
     dealing_command("gencrypt", cmd_gencrypt, "--sender", "encrypt to a k-of-n group")
 
     p = command("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members",
-                "--group --keystore --hash --out")
+                "--group --keystore --out")
     p.add_argument("--ct", required=True, metavar="FILE")
     p.add_argument("--sender", required=True, metavar="NAME")
     p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
@@ -439,7 +411,6 @@ _ERROR_CODES = (
     (MalformedSignatureError, EXIT_INPUT, "malformed-signature"),
     (SerializationError, EXIT_INPUT, "parse-error"),
     (KeystoreError, EXIT_INPUT, "keystore-error"),
-    (FixtureMissError, EXIT_INPUT, "fixture-miss"),
     (GroupParameterError, EXIT_INPUT, "invalid-group"),
     (MemberNotFoundError, EXIT_INPUT, "member-not-found"),
     (QuorumSizeError, EXIT_INPUT, "quorum-size"),
@@ -458,7 +429,10 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_help(sys.stderr)
             return EXIT_INPUT
-        return args.func(args, _config(args))
+        if args.group is not None:  # every command but paramgen and replay-example
+            args.group = serialize.group_from_dict(serialize.load_json(args.group))
+        args.keystore = Keystore(args.keystore)
+        return args.func(args)
     except Exception as exc:  # mapped to the documented exit codes
         for klass, code, slug in _ERROR_CODES:
             if isinstance(exc, klass):

@@ -104,12 +104,5 @@ class FixtureHash(Sha256Hash):
             raise FixtureMissError("no fixture entry for this element and message")
         return super().hash_to_scalar(element, message)
 
-    @classmethod
-    def from_file(cls, path) -> "FixtureHash":
-        """Load a table from JSON; `serialize._fixture_table` owns the format and its errors."""
-        from .serialize import _fixture_table  # serialize imports this module via directed
-
-        return cls(_fixture_table(path))
-
 
 DEFAULT_HASH = Sha256Hash()

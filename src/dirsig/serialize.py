@@ -11,7 +11,7 @@ here, so protocol code can assume well-formed values. Files go through
 Each artifact is described once, by a table of `(json key, attribute,
 kind)` rows that drives both `_encode` and `_decode`, so every document
 the decoder accepts re-encodes byte-identical. Only the proof-flavour
-sniff and the fixture hash table are hand-written.
+sniff is hand-written.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def decimal_to_int(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError as exc:  # past the interpreter's integer-digit limit
-        raise SerializationError(str(exc)) from exc
+        raise SerializationError(f"decimal of {len(text)} digits is too long") from exc
 
 
 def bytes_to_hex(data: bytes) -> str:
@@ -268,7 +268,7 @@ ciphertext_to_dict, ciphertext_from_dict = _codec(_CIPHERTEXT)
 public_key_to_dict, public_key_from_dict = _codec(_PUBLIC_KEY)
 
 
-# -- the hand-written formats -------------------------------------------------
+# -- the hand-written format --------------------------------------------------
 
 def proof_to_dict(proof: Union[SignerProof, ReceiverProof]) -> dict:
     return _encode(_RECEIVER_PROOF if isinstance(proof, ReceiverProof) else _SIGNER_PROOF, proof)
@@ -279,15 +279,3 @@ def proof_from_dict(group: SchnorrGroup, data: dict) -> Union[SignerProof, Recei
     receiver = isinstance(data, dict) and "w_c" in data
     return _decode(_RECEIVER_PROOF if receiver else _SIGNER_PROOF, group, data)
 
-
-def _fixture_table(path) -> dict:
-    """The `FixtureHash` table of a JSON file: {"entries": [{"element", "message", "scalar"}]}.
-
-    Element and message are canonical lowercase hex, the scalar canonical decimal.
-    """
-    (entries,) = fields(load_json(path), ("entries",))
-    table = {}
-    for entry in list_field("entries", entries):
-        element, message, scalar = fields(entry, ("element", "message", "scalar"))
-        table[(hex_to_int(element), hex_to_bytes(message))] = decimal_to_int(scalar)
-    return table

@@ -18,7 +18,6 @@ import pytest
 import dirsig.cli
 from dirsig import serialize
 from dirsig.cli import main
-from dirsig.directed import sign_directed
 from dirsig.group import GroupElement, keygen
 from dirsig.keystore import Keystore
 
@@ -178,25 +177,6 @@ def test_unparseable_json_is_a_parse_error(toy_env, capsys, text):
     assert "parse-error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "document",
-    [{}, {"entries": 5}, [1], {"entries": [{"element": " 0x0C", "message": "", "scalar": "1"}]}],
-    ids=["empty", "non-list", "non-object", "non-canonical"],
-)
-def test_malformed_fixture_file_is_a_parse_error(toy_env, tmp_path, capsys, document):
-    _, group_file, _ = toy_env
-    fixture = tmp_path / "fixture.json"
-    fixture.write_text(json.dumps(document))
-    sig = tmp_path / "sig.json"
-    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": MSG.hex()}))
-    assert run(
-        "dverify", "--group", group_file, "--keystore", tmp_path,
-        "--receiver", "bob", "--signer", "alice", "--sig", sig,
-        "--hash", f"fixture:{fixture}",
-    ) == 3
-    assert "parse-error" in capsys.readouterr().err
-
-
 def test_ciphertext_threshold_out_of_range_is_reported_as_such(toy_env, tmp_path, capsys):
     _, group_file, message_file = toy_env
     ct = tmp_path / "ct.json"
@@ -239,48 +219,6 @@ def test_malformed_threshold_documents_are_input_errors(toy_env, capsys, bad):
         "--ct", ct, "--sender", "alice", "--member", "bob=1", "--out", tmp_path / "m.out",
     ) == 3
     assert "parse-error" in capsys.readouterr().err
-
-
-def test_seeded_commands_are_reproducible(tmp_path):
-    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-    for out in (out_a, out_b):
-        assert run(
-            "paramgen", "--p-bits", 96, "--q-bits", 32, "--seed", "c0ffee", "--out", out
-        ) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-    store_a, store_b = tmp_path / "ks_a", tmp_path / "ks_b"
-    for store in (store_a, store_b):
-        assert run(
-            "keygen", "alice", "--group", out_a, "--keystore", store, "--seed", "1234"
-        ) == 0
-    assert (store_a / "alice.key").read_bytes() == (store_b / "alice.key").read_bytes()
-
-    message = tmp_path / "m.bin"
-    message.write_bytes(b"deterministic")
-    assert run("keygen", "bob", "--group", out_a, "--keystore", store_a, "--seed", "99") == 0
-    for sig_name in ("s1.json", "s2.json"):
-        assert run(
-            "sign", "--group", out_a, "--keystore", store_a,
-            "--signer", "alice", "--receiver", "bob",
-            "--message-file", message, "--out", tmp_path / sig_name, "--seed", "abcd",
-        ) == 0
-    assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
-
-    for name in ("t1.json", "t2.json"):
-        assert run(
-            "tsign", "--group", out_a, "--keystore", store_a,
-            "--signer", "alice", "--k", 1, "--member", "bob=1",
-            "--message-file", message, "--out", tmp_path / name, "--seed", "f00d",
-        ) == 0
-        assert run(
-            "gencrypt", "--group", out_a, "--keystore", store_a,
-            "--sender", "alice", "--k", 1, "--member", "bob=1",
-            "--message-file", message, "--out", tmp_path / ("ct_" + name),
-            "--seed", "f00d",
-        ) == 0
-    assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
-    assert (tmp_path / "ct_t1.json").read_bytes() == (tmp_path / "ct_t2.json").read_bytes()
 
 
 def test_threshold_workflow_two_quorums(toy_env, capsys):
@@ -356,23 +294,6 @@ def test_gdecrypt_undersized_quorum(toy_env, tmp_path, capsys):
     assert "quorum-size" in capsys.readouterr().err
 
 
-def test_fixture_hash_mode(toy_env, tmp_path, capsys):
-    """dverify accepts the fixed toy signature under a fixture-table hash."""
-    _, group_file, _ = toy_env
-    fixture = tmp_path / "fixture.json"
-    fixture.write_text(
-        json.dumps({"entries": [{"element": "12", "message": MSG.hex(), "scalar": "10"}]})
-    )
-    sig = tmp_path / "sig.json"
-    sig.write_text(json.dumps({"s": "5", "w": "10", "v": "1", "m": MSG.hex()}))
-    assert run(
-        "dverify", "--group", group_file, "--keystore", tmp_path,
-        "--receiver", "bob", "--signer", "alice", "--sig", sig,
-        "--hash", f"fixture:{fixture}",
-    ) == 0
-    assert "accept" in capsys.readouterr().out
-
-
 def test_input_error_paths(toy_env, tmp_path, capsys):
     _, group_file, _ = toy_env
     assert run(
@@ -411,20 +332,20 @@ def test_group_file_is_required(toy_env, capsys):
 
 # every command's options and positionals: the shared ones it reads, then its own
 _OPTIONS = {
-    "paramgen": "--seed --out --p-bits --q-bits",
-    "keygen": "--group --keystore --seed name",
-    "sign": "--group --keystore --hash --seed --out --signer --receiver --message-file --nonce-out",
-    "dverify": "--group --keystore --hash --receiver --signer --sig --commitment-out",
+    "paramgen": "--out --p-bits --q-bits",
+    "keygen": "--group --keystore name",
+    "sign": "--group --keystore --out --signer --receiver --message-file --nonce-out",
+    "dverify": "--group --keystore --receiver --signer --sig --commitment-out",
     "prove-signer": "--group --keystore --out --nonces --third-party",
-    "prove-receiver": "--group --keystore --seed --out --commitment --receiver --third-party",
-    "cverify": "--group --keystore --hash --sig --proof --third-party --signer",
-    "tsign": "--group --keystore --hash --seed --out --signer --member --k --message-file",
+    "prove-receiver": "--group --keystore --out --commitment --receiver --third-party",
+    "cverify": "--group --keystore --sig --proof --third-party --signer",
+    "tsign": "--group --keystore --out --signer --member --k --message-file",
     "trecover": "--group --keystore --out --sig --member --u",
     "tshadow": "--group --out --share --quorum",
     "tpartial": "--group --out --shadow",
-    "tcombine": "--group --keystore --hash --sig --signer --partials",
-    "gencrypt": "--group --keystore --hash --seed --out --sender --member --k --message-file",
-    "gdecrypt": "--group --keystore --hash --out --ct --sender --member",
+    "tcombine": "--group --keystore --sig --signer --partials",
+    "gencrypt": "--group --keystore --out --sender --member --k --message-file",
+    "gdecrypt": "--group --keystore --out --ct --sender --member",
     "replay-example": "",
 }
 
@@ -447,9 +368,9 @@ def test_shared_options_a_command_does_not_take_keep_their_defaults():
     parser = dirsig.cli._build_parser()
     args = parser.parse_args(["tshadow", "--group", "g", "--share", "s", "--quorum", "1",
                               "--out", "o"])
-    assert (args.group, args.keystore, args.hash, args.seed) == ("g", ".", "sha256", None)
+    assert (args.group, args.keystore) == ("g", ".")
     args = parser.parse_args(["replay-example"])
-    assert (args.group, args.keystore, args.hash, args.seed) == (None, ".", "sha256", None)
+    assert (args.group, args.keystore) == (None, ".")
 
 
 # an option the command does not take (a shared one it does not read, or the removed
@@ -495,25 +416,15 @@ def test_dealing_commands_require_members(toy_env, capsys, command, role):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["05", "0x5", " 0X5_0", "-5", ""])
-def test_seed_takes_only_canonical_hex(toy_env, capsys, seed):
-    """int(seed, 16) took the first four, and Random(-5) repeats Random(5)'s nonces;
-    an empty seed fell back to the system rng."""
-    tmp_path, group_file, _ = toy_env
-    common = ("--group", group_file, "--keystore", tmp_path)
-    assert run("keygen", "erin", *common, "--seed", seed) == 3
-    assert "parse-error" in capsys.readouterr().err
-    assert not (tmp_path / "erin.key").exists()
-    assert run("keygen", "erin", *common, "--seed", "5") == 0
-
-
 @pytest.mark.parametrize("option, value", [
     ("--k", "+0_1"), ("--k", "\u0661"), ("--k", "01"),
     ("--p-bits", " 9_6"), ("--p-bits", "096"), ("--q-bits", "+32"),
+    pytest.param("--k", "1" * 5000, id="--k-5000-digits"),  # past the interpreter's digit limit
 ])
 def test_integer_options_take_only_canonical_decimal(toy_env, capsys, option, value):
     """type=int took Python's integer syntax: "+0_1" and an Arabic-Indic one each
-    dealt a signature, and " 9_6" built a 96-bit group."""
+    dealt a signature, and " 9_6" built a 96-bit group. The error names the option,
+    neither the converter nor the value."""
     tmp_path, group_file, message_file = toy_env
     out = tmp_path / "out.json"
     if option == "--k":
@@ -521,10 +432,12 @@ def test_integer_options_take_only_canonical_decimal(toy_env, capsys, option, va
                 "--member", "bob=1", "--member", "carol=2", "--message-file", message_file)
         canonical = {"--k": "2"}
     else:
-        argv = ("paramgen", "--seed", "5")
+        argv = ("paramgen",)
         canonical = {"--p-bits": "96", "--q-bits": "32"}
     assert run(*argv, *itertools.chain(*{**canonical, option: value}.items()), "--out", out) == 3
-    assert "bad-arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad-arguments: argument {option}: ")
+    assert "decimal_to_int" not in err and value.strip() not in err
     assert not out.exists()
     assert run(*argv, *itertools.chain(*canonical.items()), "--out", out) == 0
 
@@ -538,7 +451,7 @@ def test_every_integer_option_is_canonical_decimal():
         for action in command._actions
         if action.type is not None
     }
-    decimal = serialize.decimal_to_int
+    decimal = dirsig.cli._decimal
     assert typed == {
         ("paramgen", "p_bits"): decimal, ("paramgen", "q_bits"): decimal,
         ("tsign", "k"): decimal, ("gencrypt", "k"): decimal,
@@ -557,7 +470,7 @@ def test_a_directory_in_place_of_a_file_is_file_not_found(toy_env, capsys):
 def test_internal_error_names_only_the_exception_type(monkeypatch, capsys):
     secret = "0123456789abcdef" * 2 + "01234567"  # 40 hex digits
 
-    def fail(args, cfg):
+    def fail(args):
         raise RuntimeError(secret)
 
     monkeypatch.setattr(dirsig.cli, "cmd_replay_example", fail)
@@ -635,7 +548,7 @@ def test_public_key_is_read_only_from_its_pub_file(toy_env, monkeypatch, capsys)
     sig = tmp_path / "sig.json"
     assert run(
         "sign", *common, "--signer", "alice", "--receiver", "bob",
-        "--message-file", message_file, "--out", sig, "--seed", "5",
+        "--message-file", message_file, "--out", sig,
     ) == 0
     (tmp_path / "alice.pub").unlink()
     loaded = []
@@ -651,6 +564,30 @@ def test_public_key_is_read_only_from_its_pub_file(toy_env, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: file-not-found: ") and "alice.pub" in err
     assert loaded == ["bob"]
+
+
+def test_every_run_draws_a_fresh_key_and_fresh_nonces(tmp_path, big_group):
+    """No option repeats a run: a nonce used twice gives the signer's key to the receiver
+    (tests/test_directed.py::test_a_reused_nonce_gives_the_receiver_the_signers_key)."""
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    common = ("--group", group_file, "--keystore", tmp_path)
+    keys = []
+    for _ in range(2):
+        assert run("keygen", "alice", *common) == 0
+        keys.append((tmp_path / "alice.key").read_bytes())
+    assert keys[0] != keys[1]
+    assert run("keygen", "bob", *common) == 0
+    message = tmp_path / "m.bin"
+    message.write_bytes(MSG)
+    sigs = []
+    for out in (tmp_path / "s1.json", tmp_path / "s2.json"):
+        assert run(
+            "sign", *common, "--signer", "alice", "--receiver", "bob",
+            "--message-file", message, "--out", out,
+        ) == 0
+        sigs.append(json.loads(out.read_text()))
+    assert sigs[0]["w"] != sigs[1]["w"] and sigs[0]["v"] != sigs[1]["v"]
 
 
 def _readme_cli_blocks():
@@ -673,8 +610,6 @@ def test_readme_cli_blocks_run_and_print_no_secret(tmp_path, monkeypatch, capsys
     partial, or the decrypted plaintext.
     """
     monkeypatch.chdir(tmp_path)
-    seeds = itertools.count(0x7EAD)  # reproducible, and distinct per command
-    monkeypatch.setattr(random, "SystemRandom", lambda: random.Random(next(seeds)))
     message = b"wire the funds to account 4242 by friday"
     Path("m.txt").write_bytes(message)
     blocks = _readme_cli_blocks()
@@ -837,33 +772,6 @@ def test_oversized_group_is_an_invalid_group(tmp_path, capsys):
     ) == 3
     err = capsys.readouterr().err
     assert "invalid-group" in err and len(err) < 1024
-
-
-def test_fixture_miss_does_not_print_the_commitment(tmp_path, big_group, capsys):
-    """R is designation-sensitive: a fixture miss names neither its decimal nor its hex."""
-    group_file = tmp_path / "group.json"
-    serialize.save_json(group_file, serialize.group_to_dict(big_group))
-    rng = random.Random(0xF1C7)
-    store = Keystore(tmp_path)
-    alice, bob = keygen(big_group, rng), keygen(big_group, rng)
-    store.save_keypair("alice", alice)
-    store.save_keypair("bob", bob)
-    sig, nonces = sign_directed(big_group, alice, bob.y, MSG, rng)
-    sig_file = tmp_path / "sig.json"
-    serialize.save_json(sig_file, serialize.directed_signature_to_dict(sig))
-    fixture = tmp_path / "fixture.json"
-    fixture.write_text(
-        json.dumps({"entries": [{"element": "5", "message": MSG.hex(), "scalar": "1"}]})
-    )
-    assert run(
-        "dverify", "--group", group_file, "--keystore", tmp_path,
-        "--receiver", "bob", "--signer", "alice", "--sig", sig_file,
-        "--hash", f"fixture:{fixture}",
-    ) == 3
-    err = capsys.readouterr().err
-    r_value = (big_group.generator ** nonces.k1).value
-    assert "fixture-miss" in err
-    assert str(r_value) not in err and format(r_value, "x") not in err
 
 
 @pytest.fixture()

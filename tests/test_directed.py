@@ -127,6 +127,25 @@ def test_fresh_signatures_differ(big_group):
         seen.add(triple)
 
 
+def test_a_reused_nonce_gives_the_receiver_the_signers_key(big_group):
+    """Pinned weakness: one (k1, k2) over two messages yields s = k1 + x·h twice, and the
+    receiver, who recovers each h, solves for the signer's x."""
+    rng = random.Random(0x2E05E)
+    signer = keygen(big_group, rng)
+    receiver = keygen(big_group, rng)
+    nonces = tuple(big_group.random_scalar(rng, nonzero=True).value for _ in range(2))
+    seen = []
+    for message in (b"pay carol 10", b"pay carol 1000"):
+        sig, _ = sign_directed(big_group, signer, receiver.y, message, nonces=nonces)
+        accept, commitment = verify_directed(big_group, sig, receiver, signer.y)
+        assert accept
+        seen.append((sig.w.value, sig.s.value, commitment.r_hash.value))
+    (w1, s1, h1), (w2, s2, h2) = seen
+    assert w1 == w2  # what a reused nonce looks like on the wire
+    q = big_group.q
+    assert (s1 - s2) * pow(h1 - h2, -1, q) % q == signer.x.value
+
+
 def test_golden_signer_proof(toy_group, toy_keys, fixture_hash):
     sig, nonces = sign_directed(
         toy_group, toy_keys["signer"], toy_keys["receiver"].y, MSG,

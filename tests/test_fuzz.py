@@ -190,7 +190,7 @@ def cli_env(tmp_path_factory, toy_group, toy_keys):
         ("gencrypt", "--sender", "alice", "--k", 2, *members, "--message-file", message,
          "--out", out["ct"]),
     ):
-        assert main([str(a) for a in (*argv, *base, "--seed", "5")]) == 0
+        assert main([str(a) for a in (*argv, *base)]) == 0
     commands = {
         "sig": ("dverify", "--receiver", "bob", "--signer", "alice", "--sig"),
         "tsig": ("trecover", "--member", "bob", "--u", "1", "--out", root / "share.json", "--sig"),
@@ -217,49 +217,88 @@ def test_cli_exits_cleanly_on_mutated_inputs(cli_env, data):
 
 
 @pytest.fixture(scope="module")
-def key_file_env(tmp_path_factory, big_group):
-    """A 512/160 keystore, alice's signature to bob, and the dverify that reads bob.key."""
-    root = tmp_path_factory.mktemp("key_fuzz")
+def secret_file_env(tmp_path_factory, big_group):
+    """Per secret input at 512/160: its file, valid document, secret fields and the
+    command that reads it.
+
+    dverify reads bob.key (x), prove-signer alice's nonce state (k1, k2), tshadow bob's
+    share (v) of a 2-of-2 threshold signature and tpartial his shadow (ms).
+    """
+    root = tmp_path_factory.mktemp("secret_fuzz")
     group = root / "group.json"
     serialize.save_json(group, serialize.group_to_dict(big_group))
     message = root / "m.bin"
     message.write_bytes(MSG)
-    sig = root / "sig.json"
-    base = ("--group", group, "--keystore", root)
+    member = ("--group", group)  # the member steps read no key
+    keyed = (*member, "--keystore", root)
+    key, nonces, tsig, share, shadow = (root / name for name in (
+        "bob.key", "sig.json.nonces", "tsig.json", "share.json", "shadow.json"))
     for argv in (
-        ("keygen", "alice", "--seed", "a"),
-        ("keygen", "bob", "--seed", "b"),
+        ("keygen", "alice", *keyed),
+        ("keygen", "bob", *keyed),
+        ("keygen", "carol", *keyed),
         ("sign", "--signer", "alice", "--receiver", "bob", "--message-file", message,
-         "--out", sig, "--seed", "5"),
+         "--out", root / "sig.json", *keyed),
+        ("tsign", "--signer", "alice", "--k", 2, "--member", "bob=1", "--member", "carol=2",
+         "--message-file", message, "--out", tsig, *keyed),
+        ("trecover", "--sig", tsig, "--member", "bob", "--u", 1, "--out", share, *keyed),
+        ("tshadow", "--share", share, "--quorum", "1,2", "--out", shadow, *member),
     ):
-        assert main([str(a) for a in (*argv, *base)]) == 0
-    argv = [str(a) for a in ("dverify", "--receiver", "bob", "--signer", "alice", "--sig", sig,
-                             *base)]
-    assert main(argv) == 0
-    return root / "bob.key", json.loads((root / "bob.key").read_text()), argv
+        assert main([str(a) for a in argv]) == 0
+    out = root / "out.json"
+    cases = {
+        "key": (key, ("x",), ("dverify", "--receiver", "bob", "--signer", "alice",
+                              "--sig", root / "sig.json", *keyed)),
+        "nonces": (nonces, ("k1", "k2"), ("prove-signer", "--nonces", nonces,
+                                          "--third-party", "carol", "--out", out, *keyed)),
+        "share": (share, ("v",), ("tshadow", "--share", share, "--quorum", "1,2",
+                                  "--out", out, *member)),
+        "shadow": (shadow, ("ms",), ("tpartial", "--shadow", shadow, "--out", out, *member)),
+    }
+    env = {}
+    for name, (path, secrets, argv) in cases.items():
+        argv = [str(a) for a in argv]
+        assert main(argv) == 0  # unmutated, each command gets past its parser
+        env[name] = path, json.loads(path.read_text()), secrets, argv
+    return env
 
 
-@_FUZZ
-@given(data=st.data())
-def test_cli_prints_no_secret_on_a_mutated_key_file(key_file_env, data):
-    """dverify fed a mutated bob.key exits 0, 2 or 3, and shows bob's x on no stream."""
-    key, valid, argv = key_file_env
-    x = int(valid["x"], 16)
-    assert len(format(x, "x")) >= 32  # too long to be matched by chance
-    key.write_text(json.dumps(_mutate(valid, data)))
+def _check_no_secret_printed(secret_file_env, name, data):
+    """The command fed a mutated copy of the file exits 0, 2 or 3 and prints no secret of
+    the unmutated one, in hex or decimal."""
+    path, valid, secrets, argv = secret_file_env[name]
+    values = [int(valid[field], 16) for field in secrets]
+    assert all(len(format(value, "x")) >= 32 for value in values)  # too long to be matched by chance
+    path.write_text(json.dumps(_mutate(valid, data)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3)
     printed = out.getvalue() + err.getvalue()
-    assert format(x, "x") not in printed.lower() and str(x) not in printed
+    for value in values:
+        assert format(value, "x") not in printed.lower() and str(value) not in printed
+
+
+@_FUZZ
+@given(data=st.data())
+def test_cli_prints_no_secret_on_a_mutated_key_file(secret_file_env, data):
+    """dverify fed a mutated bob.key shows bob's x on no stream."""
+    _check_no_secret_printed(secret_file_env, "key", data)
+
+
+@pytest.mark.parametrize("name", ["nonces", "share", "shadow"])
+@_FUZZ
+@given(data=st.data())
+def test_cli_prints_no_secret_on_a_mutated_secret_file(secret_file_env, name, data):
+    """prove-signer, tshadow and tpartial, each fed its mutated secret input."""
+    _check_no_secret_printed(secret_file_env, name, data)
 
 
 @pytest.fixture(scope="module")
 def kernel_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("kernel_fuzz")
     return root / "group.json", ["keygen", "k", "--group", str(root / "group.json"),
-                                 "--keystore", str(root), "--seed", "5"]
+                                 "--keystore", str(root)]
 
 
 def _next_prime(n):
