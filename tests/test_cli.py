@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import dirsig.cli
-from dirsig import serialize
+from dirsig import FixtureHash, FixtureMissError, serialize
 from dirsig.cli import main
+from dirsig.directed import sign_directed, verify_directed
 from dirsig.group import GroupElement, keygen
 from dirsig.keystore import Keystore
 
@@ -772,6 +773,38 @@ def test_oversized_group_is_an_invalid_group(tmp_path, capsys):
     ) == 3
     err = capsys.readouterr().err
     assert "invalid-group" in err and len(err) < 1024
+
+
+def test_fixture_miss_does_not_print_the_commitment(tmp_path, big_group, capsys):
+    """R is designation-sensitive: neither a fixture miss on it nor a rejecting dverify
+    names its decimal or its hex."""
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    rng = random.Random(0xF1C7)
+    store = Keystore(tmp_path)
+    alice, bob = keygen(big_group, rng), keygen(big_group, rng)
+    store.save_keypair("alice", alice)
+    store.save_keypair("bob", bob)
+    sig, nonces = sign_directed(big_group, alice, bob.y, MSG, rng)
+    r_value = (big_group.generator ** nonces.k1).value
+    leaks = (str(r_value), format(r_value, "x"))
+
+    with pytest.raises(FixtureMissError) as info:
+        verify_directed(big_group, sig, bob, alice.y, FixtureHash({(5, MSG): 1}))
+    assert not any(leak in str(info.value) for leak in leaks)
+
+    # the CLI hashes with SHA-256 only; its rejection of the same R must not name it
+    data = serialize.directed_signature_to_dict(sig)
+    data["s"] = format((int(data["s"], 16) + 1) % big_group.q, "x")
+    sig_file = tmp_path / "sig.json"
+    serialize.save_json(sig_file, data)
+    assert run(
+        "dverify", "--group", group_file, "--keystore", tmp_path,
+        "--receiver", "bob", "--signer", "alice", "--sig", sig_file,
+    ) == 2
+    out, err = capsys.readouterr()
+    assert "verification-failed" in err
+    assert not any(leak in out + err for leak in leaks)
 
 
 @pytest.fixture()

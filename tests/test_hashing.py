@@ -23,16 +23,9 @@ def test_fixture_known_answer(toy_group, fixture_hash):
     assert fixture_hash.hash_to_scalar(element, MSG).value == 10
 
 
-def test_fixture_miss_raises(toy_group, big_group, fixture_hash):
-    """A miss names neither the element's decimal nor its hex: the element is R, which
-    is designation-sensitive."""
+def test_fixture_miss_raises(toy_group, fixture_hash):
     with pytest.raises(FixtureMissError):
         fixture_hash.hash_to_scalar(toy_group.element(16), MSG)
-    element = big_group.generator ** big_group.scalar(0xF1C7)
-    with pytest.raises(FixtureMissError) as info:
-        fixture_hash.hash_to_scalar(element, MSG)
-    text = str(info.value)
-    assert str(element.value) not in text and format(element.value, "x") not in text
 
 
 def test_fixture_fallback_matches_production(toy_group, fallback_fixture_hash):
