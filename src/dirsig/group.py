@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 from cryptography.exceptions import UnsupportedAlgorithm
@@ -88,13 +89,17 @@ def _der_int(value: int) -> bytes:
     return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
 
 
+_DER_VERSION = _der_int(0)  # PrivateKeyInfo version 0
+_der_modulus = lru_cache(maxsize=8)(_der_int)  # a process raises mod a few p
+
+
 def _modexp(base: int, e: int, n: int) -> int:
     """base^e mod n, on OpenSSL's kernel where it takes the input, else builtin pow."""
     if n & 1 and 512 <= n.bit_length() <= 10_000 and e >= 0:
-        parameters = _der(0x30, _der_int(n) + _der_int(base % n))
-        der = _der(0x30, _der_int(0) + _der(0x30, _DH_OID + parameters) + _der(0x04, _der_int(e)))
+        parameters = _der(0x30, _der_modulus(n) + _der_int(base % n))
+        der = _der(0x30, _DER_VERSION + _der(0x30, _DH_OID + parameters) + _der(0x04, _der_int(e)))
         try:
-            return load_der_private_key(der, None).public_key().public_numbers().y
+            return load_der_private_key(der, None).private_numbers().public_numbers.y
         except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
             pass
     return pow(base, e, n)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .group import Scalar, SchnorrGroup
@@ -118,13 +120,37 @@ def split(
 ) -> list[Share]:
     """Deal one share per identity; any k of them reconstruct the secret.
 
+    Each share f(u) is one dot product of the coefficients with u's memoised
+    row of powers, so a directory dealt to again pays no power of its ids.
     `polynomial` injects fixed coefficients for deterministic replay; it
     must already encode the secret and threshold.
     """
-    _check_ids(ids)
-    _check_threshold(k, len(ids))
+    xs = _check_ids(ids)
+    _check_threshold(k, len(xs))
     poly = _coerce_polynomial(secret, k, polynomial, rng)
-    return [Share(u=u, v=poly.evaluate(u)) for u in ids]
+    group = ids[0].group
+    poly.secret._coerce(ids[0])  # ValueError unless the ids are of the polynomial's group
+    q = group.q
+    coefficients = [c.value for c in poly.coefficients]
+    return [
+        Share(u=u, v=Scalar(sum(map(mul, coefficients, row)) % q, group))
+        for u, row in zip(ids, _powers(group, xs, k))
+    ]
+
+
+@lru_cache(maxsize=4)
+def _powers(group: SchnorrGroup, xs: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Each id value's row (1, u, u^2, ..., u^(k-1)) mod q.
+
+    The group and the ids are public, and so is every power memoised here:
+    no coefficient, share or nonce enters the cache. One entry holds n*k
+    ints, about 113 KB at n = 64, k = 32 and a 160-bit q.
+    """
+    q = group.q
+    return tuple(
+        tuple(accumulate(repeat(x, k - 1), lambda power, u: power * u % q, initial=1))
+        for x in xs
+    )
 
 
 @lru_cache(maxsize=16)

@@ -221,8 +221,9 @@ def secret_file_env(tmp_path_factory, big_group):
     """Per secret input at 512/160: its file, valid document, secret fields and the
     command that reads it.
 
-    dverify reads bob.key (x), prove-signer alice's nonce state (k1, k2), tshadow bob's
-    share (v) of a 2-of-2 threshold signature and tpartial his shadow (ms).
+    dverify reads bob.key (x), prove-signer alice's nonce state (k1, k2), prove-receiver
+    the commitment bob's dverify recovered (R and r, designation-sensitive), tshadow
+    bob's share (v) of a 2-of-2 threshold signature and tpartial his shadow (ms).
     """
     root = tmp_path_factory.mktemp("secret_fuzz")
     group = root / "group.json"
@@ -231,14 +232,17 @@ def secret_file_env(tmp_path_factory, big_group):
     message.write_bytes(MSG)
     member = ("--group", group)  # the member steps read no key
     keyed = (*member, "--keystore", root)
-    key, nonces, tsig, share, shadow = (root / name for name in (
-        "bob.key", "sig.json.nonces", "tsig.json", "share.json", "shadow.json"))
+    key, nonces, commitment, tsig, share, shadow = (root / name for name in (
+        "bob.key", "sig.json.nonces", "commitment.json", "tsig.json", "share.json",
+        "shadow.json"))
     for argv in (
         ("keygen", "alice", *keyed),
         ("keygen", "bob", *keyed),
         ("keygen", "carol", *keyed),
         ("sign", "--signer", "alice", "--receiver", "bob", "--message-file", message,
          "--out", root / "sig.json", *keyed),
+        ("dverify", "--receiver", "bob", "--signer", "alice", "--sig", root / "sig.json",
+         "--commitment-out", commitment, *keyed),
         ("tsign", "--signer", "alice", "--k", 2, "--member", "bob=1", "--member", "carol=2",
          "--message-file", message, "--out", tsig, *keyed),
         ("trecover", "--sig", tsig, "--member", "bob", "--u", 1, "--out", share, *keyed),
@@ -251,6 +255,9 @@ def secret_file_env(tmp_path_factory, big_group):
                               "--sig", root / "sig.json", *keyed)),
         "nonces": (nonces, ("k1", "k2"), ("prove-signer", "--nonces", nonces,
                                           "--third-party", "carol", "--out", out, *keyed)),
+        "commitment": (commitment, ("r_elem", "r_hash"), (
+            "prove-receiver", "--commitment", commitment, "--receiver", "bob",
+            "--third-party", "carol", "--out", out, *keyed)),
         "share": (share, ("v",), ("tshadow", "--share", share, "--quorum", "1,2",
                                   "--out", out, *member)),
         "shadow": (shadow, ("ms",), ("tpartial", "--shadow", shadow, "--out", out, *member)),
@@ -258,25 +265,31 @@ def secret_file_env(tmp_path_factory, big_group):
     env = {}
     for name, (path, secrets, argv) in cases.items():
         argv = [str(a) for a in argv]
-        assert main(argv) == 0  # unmutated, each command gets past its parser
-        env[name] = path, json.loads(path.read_text()), secrets, argv
+        valid = json.loads(path.read_text())
+        values = [int(valid[field], 16) for field in secrets]
+        assert _run_and_scan(argv, values) == 0  # unmutated, each command gets past its parser
+        env[name] = path, valid, values, argv
     return env
+
+
+def _run_and_scan(argv, values):
+    """The command's exit code, once its output shows none of `values` in hex or decimal."""
+    assert all(len(format(value, "x")) >= 32 for value in values)  # too long to be matched by chance
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    printed = out.getvalue() + err.getvalue()
+    for value in values:
+        assert format(value, "x") not in printed.lower() and str(value) not in printed
+    return code
 
 
 def _check_no_secret_printed(secret_file_env, name, data):
     """The command fed a mutated copy of the file exits 0, 2 or 3 and prints no secret of
     the unmutated one, in hex or decimal."""
-    path, valid, secrets, argv = secret_file_env[name]
-    values = [int(valid[field], 16) for field in secrets]
-    assert all(len(format(value, "x")) >= 32 for value in values)  # too long to be matched by chance
+    path, valid, values, argv = secret_file_env[name]
     path.write_text(json.dumps(_mutate(valid, data)))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3)
-    printed = out.getvalue() + err.getvalue()
-    for value in values:
-        assert format(value, "x") not in printed.lower() and str(value) not in printed
+    assert _run_and_scan(argv, values) in (0, 2, 3)
 
 
 @_FUZZ
@@ -286,11 +299,13 @@ def test_cli_prints_no_secret_on_a_mutated_key_file(secret_file_env, data):
     _check_no_secret_printed(secret_file_env, "key", data)
 
 
-@pytest.mark.parametrize("name", ["nonces", "share", "shadow"])
+@pytest.mark.parametrize("name", ["nonces", "commitment", "share", "shadow"])
 @_FUZZ
 @given(data=st.data())
 def test_cli_prints_no_secret_on_a_mutated_secret_file(secret_file_env, name, data):
-    """prove-signer, tshadow and tpartial, each fed its mutated secret input."""
+    """prove-signer, prove-receiver, tshadow and tpartial, each fed its mutated secret
+    input; the commitment is designation-sensitive rather than secret, and no more
+    printable."""
     _check_no_secret_printed(secret_file_env, name, data)
 
 

@@ -17,7 +17,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirsig.group
-from dirsig.group import GroupElement, SchnorrGroup, _modexp, generate_group, is_probable_prime
+from dirsig.group import (
+    _DH_OID,
+    GroupElement,
+    SchnorrGroup,
+    _der,
+    _der_int,
+    _modexp,
+    generate_group,
+    is_probable_prime,
+)
 
 from conftest import CARMICHAEL_512, CHERNICK_K
 
@@ -137,6 +146,31 @@ def test_every_power_is_one_kernel_call(big_group, group_2048, loads, size):
     assert loads == {"tried": 1, "loaded": 1}
     assert vars(key) == {"value": key.value, "group": group}
     assert vars(group) == {"p": group.p, "q": group.q, "g": group.g}
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_the_key_bytes_are_the_same_from_a_cold_and_a_warm_modulus_memo(
+    big_group, group_2048, monkeypatch, size
+):
+    """The memoised DER of the modulus frames the same PKCS#8 key as one built afresh."""
+    group = big_group if size == "512/160" else group_2048
+    seen = []
+    original = dirsig.group.load_der_private_key
+
+    def recording_load(der, password):
+        seen.append(der)
+        return original(der, password)
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", recording_load)
+    dirsig.group._der_modulus.cache_clear()
+    base, e = group.g, group.q - 1
+    for _ in range(2):  # cold, then warm
+        assert _modexp(base, e, group.p) == pow(base, e, group.p)
+    assert dirsig.group._der_modulus.cache_info().hits == 1
+    parameters = _der(0x30, _der_int(group.p) + _der_int(base))
+    expected = _der(0x30, bytes.fromhex("020100") + _der(0x30, _DH_OID + parameters)
+                    + _der(0x04, _der_int(e)))
+    assert seen == [expected, expected]
 
 
 def test_toy_groups_keep_builtin_pow(toy_group, loads):

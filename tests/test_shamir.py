@@ -13,6 +13,7 @@ from dirsig.shamir import (
     ShareIdError,
     SharingPolynomial,
     ThresholdRangeError,
+    _powers,
     lagrange_coefficient_at_zero,
     reconstruct,
     split,
@@ -211,6 +212,47 @@ def test_evaluate_matches_scalar_horner(which, toy_group, big_group, data):
     u = group.scalar(data.draw(st.integers(0, group.q - 1)))
     polynomial = SharingPolynomial(coefficients)
     assert polynomial.evaluate(u) == _reference_evaluate(coefficients, u)
+
+
+@pytest.mark.parametrize("injected", ["random", "polynomial", "ints"])
+@pytest.mark.parametrize("which", ["toy", "big"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_split_matches_evaluate(which, injected, toy_group, big_group, data):
+    """Share by share, split equals the Horner reference: from a cold memo, for the
+    ids in another order, and for the same ids again (a memo hit)."""
+    group = toy_group if which == "toy" else big_group
+    ids = _draw_ids(data, group)
+    k = data.draw(st.integers(1, len(ids)))
+    secret = group.scalar(data.draw(st.integers(0, group.q - 1)))
+    seed = data.draw(st.integers(0, 2**32))
+    polynomial = SharingPolynomial.random(secret, k, random.Random(seed))
+    dealt_with = {
+        "random": None,
+        "polynomial": polynomial,
+        "ints": [c.value for c in polynomial.coefficients],
+    }[injected]
+    _powers.cache_clear()
+    for order in (ids, data.draw(st.permutations(ids)), list(ids)):
+        hits = _powers.cache_info().hits
+        shares = split(secret, k, order, random.Random(seed), polynomial=dealt_with)
+        assert shares == [Share(u=u, v=polynomial.evaluate(u)) for u in order]
+    assert _powers.cache_info().hits == hits + 1  # the last deal read the first one's rows
+
+
+def test_the_power_memo_keys_on_group_and_threshold(toy_group):
+    """The same id values under another group, or at another threshold, get rows
+    of their own, and split still equals the Horner reference."""
+    other = validate_group(47, 23, 2)
+    for group, k in ((toy_group, 3), (other, 3), (other, 4), (toy_group, 4)):
+        ids = _ids(group, 2, 3, 4, 5)
+        polynomial = SharingPolynomial(tuple(group.scalar(c) for c in (5, 7, 9, 4)[:k]))
+        shares = split(polynomial.secret, k, ids, polynomial=polynomial)
+        assert shares == [Share(u=u, v=polynomial.evaluate(u)) for u in ids]
+        assert _powers(group, (2, 3, 4, 5), k) == tuple(
+            tuple(pow(u, j, group.q) for j in range(k)) for u in (2, 3, 4, 5)
+        )
+    assert _powers(toy_group, (2, 3, 4, 5), 3) != _powers(other, (2, 3, 4, 5), 3)
 
 
 def test_a_cached_quorum_still_runs_every_check(toy_group):

@@ -9,7 +9,15 @@ import pytest
 from dirsig.directed import mask, sign_directed, verify_directed
 from dirsig.group import GroupElement, keygen, validate_group
 from dirsig.hashing import Sha256Hash
-from dirsig.shamir import Share, ShareIdError, lagrange_coefficient_at_zero, reconstruct, split
+from dirsig.shamir import (
+    Share,
+    ShareIdError,
+    SharingPolynomial,
+    _powers,
+    lagrange_coefficient_at_zero,
+    reconstruct,
+    split,
+)
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
@@ -406,6 +414,32 @@ def test_dealt_shares_are_blinded_with_mask(big_group):
         f_u = sum(c * pow(u, i, q) for i, c in enumerate(coefficients)) % q
         expected = mask(f_u, member.y, big_group.scalar(k2))
         assert masked.v == expected == f_u * pow(member.y.value, k2, p) % p
+
+
+def test_the_power_memo_holds_no_secret_of_a_dealing(big_group):
+    """After a dealing with injected nonces and polynomial, the one memoised entry is
+    the directory's public id powers: no coefficient, share value, k1 or k2."""
+    rng = random.Random(0x4D45)
+    n, k = 6, 4
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=big_group.scalar(rng.randrange(1, big_group.q)), y=keygen(big_group, rng).y)
+        for _ in range(n)
+    ))
+    k1, k2 = rng.randrange(1, big_group.q), rng.randrange(1, big_group.q)
+    coefficients = [k1] + [rng.randrange(big_group.q) for _ in range(k - 1)]
+    _powers.cache_clear()
+    sign_for_group(big_group, keygen(big_group, rng), directory, k, MSG,
+                   nonces=(k1, k2), polynomial=coefficients)
+    assert _powers.cache_info().currsize == 1
+    xs = tuple(member.u.value for member in directory.members)
+    rows = _powers(big_group, xs, k)
+    assert _powers.cache_info().hits == 1  # the dealing's own entry, not a recomputed one
+    q = big_group.q
+    assert rows == tuple(tuple(pow(u, j, q) for j in range(k)) for u in xs)
+    polynomial = SharingPolynomial(tuple(big_group.scalar(c) for c in coefficients))
+    shares = [polynomial.evaluate(member.u).value for member in directory.members]
+    cached = {value for row in rows for value in row}
+    assert cached.isdisjoint([*coefficients, *shares, k1, k2])
 
 
 def test_plain_int_ids_are_a_type_error(toy_group, toy_keys, toy_directory, fixture_hash):
