@@ -17,6 +17,7 @@ error. Failures print `error: <code>: <detail>` on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -90,9 +91,21 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _fail_verification(code: str, detail: str) -> int:
-    print(f"error: {code}: {detail}", file=sys.stderr)
-    return EXIT_VERIFY
+def _verdict(accept: bool, detail: str) -> int:
+    """End a verifying command: print accept, or fail verification with `detail`."""
+    if not accept:
+        print(f"error: verification-failed: {detail}", file=sys.stderr)
+        return EXIT_VERIFY
+    print("accept")
+    return EXIT_OK
+
+
+def _refuse_same_file(secret: str, secret_path, other: str, other_path) -> None:
+    """Refuse to write a secret over the file of option `other`, which may be sent on."""
+    paths = (secret_path, other_path)
+    same = os.path.realpath(secret_path) == os.path.realpath(other_path)
+    if same or (all(map(os.path.exists, paths)) and os.path.samefile(*paths)):  # hard link
+        raise _UsageError(f"{secret} names the {other} file")
 
 
 def _identity(group: SchnorrGroup, text: str) -> Scalar:
@@ -114,9 +127,15 @@ def _named_members(args, entries, load_key) -> list:
     return pairs
 
 
-def _member_directory(args, entries) -> GroupDirectory:
-    members = _named_members(args, entries, args.keystore.load_public)
-    return GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
+def _deal(args, party: str, deal, to_dict) -> int:
+    """tsign and gencrypt: `deal` the message to the --member directory as `party`."""
+    keypair = args.keystore.load_keypair(args.group, party)
+    members = _named_members(args, args.member, args.keystore.load_public)
+    directory = GroupDirectory(members=tuple(GroupMember(u=u, y=y) for y, u in members))
+    artifact = deal(args.group, keypair, directory, args.k, Path(args.message_file).read_bytes())
+    serialize.save_json(args.out, to_dict(artifact))
+    print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 # -- commands -----------------------------------------------------------------
@@ -135,18 +154,21 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sign(args) -> int:
+    nonce_out = args.nonce_out or f"{args.out}.nonces"
+    _refuse_same_file("--nonce-out", nonce_out, "--out", args.out)
     signer = args.keystore.load_keypair(args.group, args.signer)
     receiver_pub = args.keystore.load_public(args.group, args.receiver)
     message = Path(args.message_file).read_bytes()
     sig, nonces = sign_directed(args.group, signer, receiver_pub, message)
     serialize.save_json(args.out, serialize.directed_signature_to_dict(sig))
-    nonce_out = args.nonce_out or f"{args.out}.nonces"
     serialize.save_json(nonce_out, serialize.nonce_state_to_dict(nonces), private=True)
     print(f"wrote {args.out} (nonce state: {nonce_out})")
     return EXIT_OK
 
 
 def cmd_dverify(args) -> int:
+    if args.commitment_out:
+        _refuse_same_file("--commitment-out", args.commitment_out, "--sig", args.sig)
     sig = _read(args, serialize.directed_signature_from_dict, args.sig)
     receiver = args.keystore.load_keypair(args.group, args.receiver)
     signer_pub = args.keystore.load_public(args.group, args.signer)
@@ -155,10 +177,7 @@ def cmd_dverify(args) -> int:
         serialize.save_json(
             args.commitment_out, serialize.commitment_to_dict(commitment), private=True
         )
-    if not accept:
-        return _fail_verification("verification-failed", "directed signature rejected")
-    print("accept")
-    return EXIT_OK
+    return _verdict(accept, "directed signature rejected")
 
 
 def cmd_prove_signer(args) -> int:
@@ -183,20 +202,12 @@ def cmd_cverify(args) -> int:
     proof = _read(args, serialize.proof_from_dict, args.proof)
     third = args.keystore.load_keypair(args.group, args.third_party)
     signer_pub = args.keystore.load_public(args.group, args.signer)
-    if not verify_as_third_party(args.group, sig, proof, third, signer_pub):
-        return _fail_verification("verification-failed", "third-party verification rejected")
-    print("accept")
-    return EXIT_OK
+    accept = verify_as_third_party(args.group, sig, proof, third, signer_pub)
+    return _verdict(accept, "third-party verification rejected")
 
 
 def cmd_tsign(args) -> int:
-    signer = args.keystore.load_keypair(args.group, args.signer)
-    directory = _member_directory(args, args.member)
-    message = Path(args.message_file).read_bytes()
-    sig = sign_for_group(args.group, signer, directory, args.k, message)
-    serialize.save_json(args.out, serialize.threshold_signature_to_dict(sig))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _deal(args, args.signer, sign_for_group, serialize.threshold_signature_to_dict)
 
 
 def cmd_trecover(args) -> int:
@@ -225,20 +236,12 @@ def cmd_tcombine(args) -> int:
     sig = _read(args, serialize.threshold_signature_from_dict, args.sig)
     partials = [_read(args, serialize.partial_from_dict, path) for path in args.partials]
     signer_pub = args.keystore.load_public(args.group, args.signer)
-    if not combine_and_verify(args.group, sig, partials, signer_pub):
-        return _fail_verification("verification-failed", "threshold verification rejected")
-    print("accept")
-    return EXIT_OK
+    accept = combine_and_verify(args.group, sig, partials, signer_pub)
+    return _verdict(accept, "threshold verification rejected")
 
 
 def cmd_gencrypt(args) -> int:
-    sender = args.keystore.load_keypair(args.group, args.sender)
-    directory = _member_directory(args, args.member)
-    message = Path(args.message_file).read_bytes()
-    ct = encrypt_to_group(args.group, sender, directory, args.k, message)
-    serialize.save_json(args.out, serialize.ciphertext_to_dict(ct))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _deal(args, args.sender, encrypt_to_group, serialize.ciphertext_to_dict)
 
 
 def cmd_gdecrypt(args) -> int:
@@ -298,17 +301,33 @@ def cmd_replay_example(args) -> int:
     )
 
     if not (accept and accept_signer and accept_receiver):
-        return _fail_verification("verification-failed", "replay did not verify")
+        print("error: verification-failed: replay did not verify", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
 # -- parser -------------------------------------------------------------------
 
-# the options several commands take
-_SHARED = {
+# every option's argparse spec, once; a command lists the ones it takes
+_OPTIONS = {
     "--group": dict(required=True, metavar="FILE", help="group parameter file"),
     "--keystore": dict(metavar="DIR", help="key directory"),
     "--out": dict(required=True, metavar="FILE"),
+    "--p-bits": dict(type=_decimal, default=512),
+    "--q-bits": dict(type=_decimal, default=160),
+    "name": {},
+    **dict.fromkeys(("--signer", "--receiver", "--sender", "--third-party"),
+                    dict(required=True, metavar="NAME")),
+    **dict.fromkeys(("--message-file", "--sig", "--nonces", "--commitment", "--proof",
+                     "--share", "--shadow", "--ct"), dict(required=True, metavar="FILE")),
+    "--nonce-out": dict(metavar="FILE", help="default OUT.nonces"),
+    "--commitment-out": dict(metavar="FILE"),
+    "--member": dict(action="append", required=True, metavar="NAME=UHEX"),
+    ("trecover", "--member"): dict(required=True, metavar="NAME"),  # one key, not NAME=UHEX
+    "--k": dict(required=True, type=_decimal),
+    "--u": dict(required=True, metavar="HEX"),
+    "--quorum": dict(required=True, metavar="HEX,HEX,..."),
+    "--partials": dict(required=True, nargs="+", metavar="FILE"),
 }
 
 
@@ -318,96 +337,45 @@ def _build_parser() -> _ArgumentParser:
         description="Directed signatures with threshold verification and group encryption.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def command(name, func, help_text, shared=""):
-        # defaults first: a shared option takes its default from them, as does a command without it
+    store, out = "--group --keystore", "--group --keystore --out"
+    dealing = "--member --k --message-file"
+    commands = (  # built per call, so a handler is looked up when the parser is
+        ("paramgen", cmd_paramgen, "generate group parameters", "--out --p-bits --q-bits"),
+        ("keygen", cmd_keygen, "generate a named key pair", f"{store} name"),
+        ("sign", cmd_sign, "directed-sign a message",
+         f"{out} --signer --receiver --message-file --nonce-out"),
+        ("dverify", cmd_dverify, "verify as the designated receiver",
+         f"{store} --receiver --signer --sig --commitment-out"),
+        ("prove-signer", cmd_prove_signer, "signer proof for a third party",
+         f"{out} --nonces --third-party"),
+        ("prove-receiver", cmd_prove_receiver, "receiver proof for a third party",
+         f"{out} --commitment --receiver --third-party"),
+        ("cverify", cmd_cverify, "verify as a third party",
+         f"{store} --sig --proof --third-party --signer"),
+        ("tsign", cmd_tsign, "sign for k-of-n group verification", f"{out} --signer {dealing}"),
+        ("trecover", cmd_trecover, "recover one member's share", f"{out} --sig --member --u"),
+        ("tshadow", cmd_tshadow, "scale a share for a quorum", "--group --out --share --quorum"),
+        ("tpartial", cmd_tpartial, "lift a shadow to a partial result", "--group --out --shadow"),
+        ("tcombine", cmd_tcombine, "combine partials and verify",
+         f"{store} --sig --signer --partials"),
+        ("gencrypt", cmd_gencrypt, "encrypt to a k-of-n group", f"{out} --sender {dealing}"),
+        ("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members",
+         f"{out} --ct --sender --member"),
+        ("replay-example", cmd_replay_example, "print the deterministic toy walkthrough", ""),
+    )
+    for name, func, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
+        # defaults first: --keystore takes its default from them, as does a command without it
         p.set_defaults(func=func, group=None, keystore=".")
-        for option in shared.split():
-            p.add_argument(option, **_SHARED[option])
-        return p
-
-    def dealing_command(name, func, role, help_text):
-        """A command that deals masked shares to its members: tsign, gencrypt."""
-        p = command(name, func, help_text, "--group --keystore --out")
-        p.add_argument(role, required=True, metavar="NAME")
-        p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-        p.add_argument("--k", required=True, type=_decimal)
-        p.add_argument("--message-file", required=True, metavar="FILE")
-
-    p = command("paramgen", cmd_paramgen, "generate group parameters", "--out")
-    p.add_argument("--p-bits", type=_decimal, default=512)
-    p.add_argument("--q-bits", type=_decimal, default=160)
-
-    p = command("keygen", cmd_keygen, "generate a named key pair", "--group --keystore")
-    p.add_argument("name")
-
-    p = command("sign", cmd_sign, "directed-sign a message", "--group --keystore --out")
-    p.add_argument("--signer", required=True, metavar="NAME")
-    p.add_argument("--receiver", required=True, metavar="NAME")
-    p.add_argument("--message-file", required=True, metavar="FILE")
-    p.add_argument("--nonce-out", metavar="FILE", help="default OUT.nonces")
-
-    p = command("dverify", cmd_dverify, "verify as the designated receiver", "--group --keystore")
-    p.add_argument("--receiver", required=True, metavar="NAME")
-    p.add_argument("--signer", required=True, metavar="NAME")
-    p.add_argument("--sig", required=True, metavar="FILE")
-    p.add_argument("--commitment-out", metavar="FILE")
-
-    p = command("prove-signer", cmd_prove_signer, "signer proof for a third party",
-                "--group --keystore --out")
-    p.add_argument("--nonces", required=True, metavar="FILE")
-    p.add_argument("--third-party", required=True, metavar="NAME")
-
-    p = command("prove-receiver", cmd_prove_receiver, "receiver proof for a third party",
-                "--group --keystore --out")
-    p.add_argument("--commitment", required=True, metavar="FILE")
-    p.add_argument("--receiver", required=True, metavar="NAME")
-    p.add_argument("--third-party", required=True, metavar="NAME")
-
-    p = command("cverify", cmd_cverify, "verify as a third party", "--group --keystore")
-    p.add_argument("--sig", required=True, metavar="FILE")
-    p.add_argument("--proof", required=True, metavar="FILE")
-    p.add_argument("--third-party", required=True, metavar="NAME")
-    p.add_argument("--signer", required=True, metavar="NAME")
-
-    dealing_command("tsign", cmd_tsign, "--signer", "sign for k-of-n group verification")
-
-    p = command("trecover", cmd_trecover, "recover one member's share", "--group --keystore --out")
-    p.add_argument("--sig", required=True, metavar="FILE")
-    p.add_argument("--member", required=True, metavar="NAME")
-    p.add_argument("--u", required=True, metavar="HEX")
-
-    p = command("tshadow", cmd_tshadow, "scale a share for a quorum", "--group --out")
-    p.add_argument("--share", required=True, metavar="FILE")
-    p.add_argument("--quorum", required=True, metavar="HEX,HEX,...")
-
-    p = command("tpartial", cmd_tpartial, "lift a shadow to a partial result", "--group --out")
-    p.add_argument("--shadow", required=True, metavar="FILE")
-
-    p = command("tcombine", cmd_tcombine, "combine partials and verify", "--group --keystore")
-    p.add_argument("--sig", required=True, metavar="FILE")
-    p.add_argument("--signer", required=True, metavar="NAME")
-    p.add_argument("--partials", required=True, nargs="+", metavar="FILE")
-
-    dealing_command("gencrypt", cmd_gencrypt, "--sender", "encrypt to a k-of-n group")
-
-    p = command("gdecrypt", cmd_gdecrypt, "decrypt with a quorum of members",
-                "--group --keystore --out")
-    p.add_argument("--ct", required=True, metavar="FILE")
-    p.add_argument("--sender", required=True, metavar="NAME")
-    p.add_argument("--member", action="append", required=True, metavar="NAME=UHEX")
-
-    command("replay-example", cmd_replay_example, "print the deterministic toy walkthrough")
-
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS.get((name, option), _OPTIONS[option]))
     return parser
 
 
 _ERROR_CODES = (
     (SenderAuthenticationError, EXIT_VERIFY, "sender-authentication-failed"),
     (DecryptionAuthenticationError, EXIT_VERIFY, "decryption-authentication-failed"),
-    (FileNotFoundError, EXIT_INPUT, "file-not-found"),
-    (IsADirectoryError, EXIT_INPUT, "file-not-found"),
+    ((FileNotFoundError, IsADirectoryError), EXIT_INPUT, "file-not-found"),
     (MalformedSignatureError, EXIT_INPUT, "malformed-signature"),
     (SerializationError, EXIT_INPUT, "parse-error"),
     (KeystoreError, EXIT_INPUT, "keystore-error"),

@@ -913,6 +913,51 @@ def test_decrypted_plaintext_is_0600_from_its_first_byte(
     assert plain.read_bytes() == MSG
 
 
+@pytest.mark.parametrize("spelling", ["./", "symlink", "hard-link"])
+def test_no_secret_output_may_name_the_file_that_is_sent_on(
+    toy_env, monkeypatch, capsys, spelling
+):
+    """`sign --nonce-out` naming the `--out` file left {k1, k2, sig} in the signature's
+    place, and whoever is sent it gets x = (s - k1)/h; `dverify --commitment-out` naming
+    `--sig` left R there. Both are bad arguments before any write, however spelled."""
+    tmp_path, group_file, message_file = toy_env
+    monkeypatch.chdir(tmp_path)
+    sig = tmp_path / "sig.json"
+    common = ("--group", group_file, "--keystore", tmp_path)
+    sign = ("sign", *common, "--signer", "alice", "--receiver", "bob",
+            "--message-file", message_file, "--out", "sig.json")
+    dverify = ("dverify", *common, "--receiver", "bob", "--signer", "alice", "--sig", "sig.json")
+
+    def other_name():
+        if spelling == "./":
+            return "./sig.json"
+        other = tmp_path / "other.json"
+        other.unlink(missing_ok=True)
+        if spelling == "symlink":
+            other.symlink_to("sig.json")
+        else:
+            os.link(sig, other)
+        return "other.json"
+
+    def refused(argv, message):
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad-arguments: {message}\n"
+        assert captured.out == ""
+
+    if spelling != "hard-link":  # one needs an existing file
+        refused((*sign, "--nonce-out", other_name()), "--nonce-out names the --out file")
+        assert not sig.exists()
+    assert run(*sign) == 0
+    capsys.readouterr()
+    signature = sig.read_bytes()
+    refused((*sign, "--nonce-out", other_name()), "--nonce-out names the --out file")
+    refused((*dverify, "--commitment-out", other_name()), "--commitment-out names the --sig file")
+    assert sig.read_bytes() == signature
+    assert set(json.loads(signature)) == {"s", "w", "v", "m"}  # no k1
+    assert run(*dverify, "--commitment-out", "./commit.json") == 0
+
+
 def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):
     tmp_path, group_file, message_file = toy_env
     common = ("--group", group_file, "--keystore", tmp_path)

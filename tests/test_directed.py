@@ -5,6 +5,7 @@ re-evaluation of the verification equation (`_raw_verdict`), computed with
 hashlib and pow only — deliberately independent of the library code path.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -26,6 +27,7 @@ from dirsig.directed import (
 )
 from dirsig.group import keygen
 from dirsig.hashing import Sha256Hash
+from dirsig.serialize import directed_signature_to_dict
 
 from conftest import MSG
 
@@ -144,6 +146,23 @@ def test_a_reused_nonce_gives_the_receiver_the_signers_key(big_group):
     assert w1 == w2  # what a reused nonce looks like on the wire
     q = big_group.q
     assert (s1 - s2) * pow(h1 - h2, -1, q) % q == signer.x.value
+
+
+def test_anyone_can_rerandomize_a_directed_signature(big_group):
+    """Pinned weakness of the construction: from public values alone, (w·g^-t, v·y_B^t)
+    is a signature with new bytes that the receiver accepts, since v·w^x unmasks the same
+    R. The scheme is not strongly unforgeable (An, Dodis and Rabin, EUROCRYPT 2002)."""
+    rng = random.Random(0x2E2A)
+    signer, receiver = keygen(big_group, rng), keygen(big_group, rng)
+    sig, _ = sign_directed(big_group, signer, receiver.y, MSG, rng)
+    t = big_group.random_scalar(rng, nonzero=True)
+    twin = dataclasses.replace(
+        sig, w=sig.w * big_group.generator ** -t, v=sig.v * receiver.y ** t
+    )
+    assert directed_signature_to_dict(twin) != directed_signature_to_dict(sig)
+    accept, commitment = verify_directed(big_group, twin, receiver, signer.y)
+    assert accept
+    assert commitment == verify_directed(big_group, sig, receiver, signer.y)[1]
 
 
 def test_golden_signer_proof(toy_group, toy_keys, fixture_hash):

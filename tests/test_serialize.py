@@ -125,6 +125,50 @@ def test_parse_errors_give_only_type_and_length(parse, value, described):
     assert "ab" not in str(info.value).lower()
 
 
+def _secret_documents(group):
+    """For each parser of a secret file: (parse, a valid document, its secret fields, the
+    field to malform). A commitment's R is designation-sensitive, like a secret."""
+    rng = random.Random(0x5EC12E7)
+    signer, receiver = keygen(group, rng), keygen(group, rng)
+    sig, nonces = sign_directed(group, signer, receiver.y, MSG, rng)
+    _, commitment = verify_directed(group, sig, receiver, signer.y)
+    u, value = group.scalar(1), group.random_scalar(rng, nonzero=True)
+    return {
+        "keypair": (keypair_from_dict, keypair_to_dict(signer), ("x",), "y"),
+        "nonce-state": (nonce_state_from_dict, nonce_state_to_dict(nonces), ("k1", "k2"), "sig"),
+        "share": (share_from_dict, share_to_dict(Share(u=u, v=value)), ("v",), "u"),
+        "shadow": (shadow_from_dict, shadow_to_dict(ModifiedShadow(u=u, value=value)),
+                   ("ms",), "u"),
+        "commitment": (commitment_from_dict, commitment_to_dict(commitment),
+                       ("r_elem",), "r_hash"),
+    }
+
+
+def _malformed(value, how: str, q: int):
+    """`value` (hex, or a nested signature by its s) spoiled one way."""
+    if isinstance(value, dict):
+        return [value] if how == "wrong-type" else {**value, "s": _malformed(value["s"], how, q)}
+    return {"wrong-type": int(value, 16), "non-canonical": "0" + value,
+            "out-of-range": format(q, "x")}[how]
+
+
+@pytest.mark.parametrize("how", ["wrong-type", "non-canonical", "out-of-range", "extra-key"])
+@pytest.mark.parametrize("name", ["keypair", "nonce-state", "share", "shadow", "commitment"])
+def test_secret_file_parse_errors_do_not_echo_the_secret(big_group, name, how):
+    """A document with a known secret beside one malformed field: the error names
+    neither the secret's hex nor its decimal."""
+    parse, good, secrets, field = _secret_documents(big_group)[name]
+    if how == "extra-key":
+        bad = {**good, "extra": good[secrets[0]]}
+    else:
+        bad = {**good, field: _malformed(good[field], how, big_group.q)}
+    with pytest.raises(SerializationError) as info:
+        parse(big_group, bad)
+    message = str(info.value)
+    for key in secrets:
+        assert good[key] not in message and str(int(good[key], 16)) not in message, key
+
+
 def test_subgroup_error_does_not_echo_the_value(toy_group):
     with pytest.raises(MalformedSignatureError) as info:
         directed_signature_from_dict(toy_group, {"s": "5", "w": "abcdef", "v": "1", "m": ""})

@@ -1,5 +1,6 @@
 """Threshold verification: golden trace, quorum properties, censuses."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -9,6 +10,7 @@ import pytest
 from dirsig.directed import mask, sign_directed, verify_directed
 from dirsig.group import GroupElement, keygen, validate_group
 from dirsig.hashing import Sha256Hash
+from dirsig.serialize import threshold_signature_to_dict
 from dirsig.shamir import (
     Share,
     ShareIdError,
@@ -32,6 +34,7 @@ from dirsig.threshold import (
     recover_share,
     sign_for_group,
 )
+from dirsig.threshold_crypto import encrypt_to_group
 
 from conftest import MSG
 
@@ -392,6 +395,65 @@ def test_masks_keep_the_quadratic_character_of_each_share(big_group):
             symbols.add(_legendre(share.v.value, big_group.p))
             assert _legendre(masked.v, big_group.p) == _legendre(share.v.value, big_group.p)
     assert symbols == {1, big_group.p - 1}  # both characters occur, and both leak
+
+
+def _five_members(group, rng):
+    """Key pairs of members 1..5 and their directory."""
+    keys = {u: keygen(group, rng) for u in range(1, 6)}
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=group.scalar(u), y=kp.y) for u, kp in keys.items()
+    ))
+    return keys, directory
+
+
+@pytest.mark.parametrize("flow", ["sign_for_group", "encrypt_to_group"])
+def test_a_pooling_quorum_gets_the_signers_key(big_group, flow):
+    """Pinned weakness of the construction: k1 = f(0) is both the commitment nonce and
+    the dealt secret. So k members who pool the shares they unmask get k1, and with the
+    public s the key x = (s - k1)/h(g^k1, m). A decrypting quorum gets the sender's key
+    the same way, under the encryption tag. k - 1 pooled shares do not give x."""
+    rng = random.Random(0x9001)
+    keys, directory = _five_members(big_group, rng)
+    signer = keygen(big_group, rng)
+    if flow == "sign_for_group":
+        sig = sign_for_group(big_group, signer, directory, 3, MSG, rng)
+        h, signed = Sha256Hash(), MSG
+    else:
+        sig = encrypt_to_group(big_group, signer, directory, 3, MSG, rng)
+        h, signed = Sha256Hash().tagged(b"dirsig/gencrypt"), sig.ciphertext
+    shares = [recover_share(big_group, sig, keys[m.u.value], m.u) for m in sig.masked_shares]
+
+    def pooled_key(pool):
+        k1 = reconstruct(pool)
+        return (sig.s - k1) * h.hash_to_scalar(big_group.generator ** k1, signed).inverse()
+
+    for size, gives_x in ((3, True), (2, False)):
+        for pool in itertools.combinations(shares, size):
+            assert (pooled_key(pool) == signer.x) is gives_x
+
+
+def test_anyone_can_rerandomize_a_threshold_signature(big_group):
+    """Pinned weakness of the construction: from public values alone, w·g^-t with each
+    v_i·y_i^t is a signature with new bytes, and honest member steps on it combine to
+    the same R, which verifies."""
+    rng = random.Random(0x2E2B)
+    keys, directory = _five_members(big_group, rng)
+    signer = keygen(big_group, rng)
+    sig = sign_for_group(big_group, signer, directory, 3, MSG, rng)
+    t = big_group.random_scalar(rng, nonzero=True)
+    twin = dataclasses.replace(sig, w=sig.w * big_group.generator ** -t, masked_shares=tuple(
+        MaskedShare(u=masked.u, v=mask(masked.v, member.y, t))
+        for masked, member in zip(sig.masked_shares, directory.members)
+    ))
+    assert threshold_signature_to_dict(twin) != threshold_signature_to_dict(sig)
+    quorum = [m.u for m in directory.members[:3]]
+    partials = [
+        partial_result(big_group, modify_shadow(
+            recover_share(big_group, twin, keys[u.value], u), quorum
+        ))
+        for u in quorum
+    ]
+    assert combine_and_verify(big_group, twin, partials, signer.y)
 
 
 def test_dealt_shares_are_blinded_with_mask(big_group):
