@@ -211,6 +211,7 @@ def cmd_tsign(args) -> int:
 
 
 def cmd_trecover(args) -> int:
+    _refuse_same_file("--out", args.out, "--sig", args.sig)
     sig = _read(args, serialize.threshold_signature_from_dict, args.sig)
     member = args.keystore.load_keypair(args.group, args.member)
     share = recover_share(args.group, sig, member, _identity(args.group, args.u))
@@ -245,6 +246,7 @@ def cmd_gencrypt(args) -> int:
 
 
 def cmd_gdecrypt(args) -> int:
+    _refuse_same_file("--out", args.out, "--ct", args.ct)
     ct = _read(args, serialize.ciphertext_from_dict, args.ct)
     sender_pub = args.keystore.load_public(args.group, args.sender)
     quorum = _named_members(args, args.member, args.keystore.load_keypair)

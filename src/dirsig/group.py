@@ -6,19 +6,22 @@ group, so mixed-group arithmetic fails loudly instead of silently wrapping.
 
 Arithmetic is best-effort only with respect to timing side channels: every
 exponentiation modulo a p of 512 bits or more is one call to OpenSSL's
-constant-time Montgomery code (`_modexp`), but toy groups (builtin pow) and
-all other big-integer operations do not attempt constant time.
+constant-time Montgomery code (`_modexp`: a DH key load, or inside a dealing a
+held key's exchange), but toy groups (builtin pow) and all other big-integer
+operations do not attempt constant time.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from cryptography.exceptions import UnsupportedAlgorithm
-from cryptography.hazmat.primitives.serialization import load_der_private_key
+from cryptography.hazmat.primitives.serialization import load_der_private_key, load_der_public_key
 
 
 class GroupParameterError(ValueError):
@@ -93,9 +96,80 @@ _DER_VERSION = _der_int(0)  # PrivateKeyInfo version 0
 _der_modulus = lru_cache(maxsize=8)(_der_int)  # a process raises mod a few p
 
 
+def _in_kernel(n: int) -> bool:
+    """n is a modulus OpenSSL's DH code takes: odd, of 512 to 10000 bits."""
+    return n % 2 == 1 and 512 <= n.bit_length() <= 10_000
+
+
+# A dealing raises n member keys to one nonce k2. Inside `_held_exponent(group, k2)`,
+# `_modexp(y, k2, p)` is the `exchange` of one DH private key, loaded once with k2, with
+# y's DH public key, loaded once per (group, y) by `_peer_key`: 0.7-0.8x a key load at
+# 512/160. OpenSSL refuses a shared secret of 1 or p - 1, and `cryptography` raises that
+# refusal as a PanicException, which derives from BaseException alone. `_peer_key` admits
+# only subgroup members other than 1 and the key holds only k2 in [1, q-1], so y^k2 has
+# order q and is neither.
+_HELD: ContextVar[Optional[tuple]] = ContextVar("dirsig_held_exponent", default=None)
+
+
+def _dh_parameters(group: "SchnorrGroup") -> bytes:
+    """The DER AlgorithmIdentifier of DH over (p, g), shared by the held key and its peers."""
+    return _der(0x30, _DH_OID + _der(0x30, _der_modulus(group.p) + _der_int(group.g)))
+
+
+@lru_cache(maxsize=256)  # public keys only: a few directories' members
+def _peer_key(group: "SchnorrGroup", y: int):
+    """Member key y as a DH public key, or None where the loader refuses it.
+
+    Raises NotInSubgroupError, before any key is loaded, unless y is a subgroup member
+    other than 1.
+    """
+    if group.element(y).value == 1:
+        raise NotInSubgroupError("the identity is not a member key")
+    spki = _der(0x30, _dh_parameters(group) + _der(0x03, b"\0" + _der_int(y)))
+    try:
+        return load_der_public_key(spki)
+    except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
+        return None
+
+
+def _held_key(group: "SchnorrGroup", e: int) -> Optional[tuple]:
+    """(group, e, the DH private key of e over (p, g)), or None where none may be held."""
+    if not (_in_kernel(group.p) and 1 <= e < group.q):
+        return None
+    der = _der(0x30, _DER_VERSION + _dh_parameters(group) + _der(0x04, _der_int(e)))
+    try:
+        return group, e, load_der_private_key(der, None)
+    except (ValueError, UnsupportedAlgorithm):
+        return None
+
+
+@contextmanager
+def _held_exponent(group: "SchnorrGroup", e: int) -> Iterator[None]:
+    """Within the block, answer `_modexp(y, e, p)` by a held key's `exchange` with y's key.
+
+    Outside the kernel's moduli, for e outside [1, q-1], or where the loader refuses
+    the key, nothing is held and `_modexp` runs as everywhere else. The key holds e, so
+    only the context variable refers to it, and only for the block.
+    """
+    token = _HELD.set(_held_key(group, e))
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
 def _modexp(base: int, e: int, n: int) -> int:
-    """base^e mod n, on OpenSSL's kernel where it takes the input, else builtin pow."""
-    if n & 1 and 512 <= n.bit_length() <= 10_000 and e >= 0:
+    """base^e mod n: by the held key for its e and p, else on OpenSSL's kernel where it
+    takes the input, else by builtin pow."""
+    held = _HELD.get()  # (group, e, key) inside a dealing's `_held_exponent`
+    if held is not None and e == held[1] and n == held[0].p:
+        peer = _peer_key(held[0], base)
+        if peer is not None:
+            try:
+                return int.from_bytes(held[2].exchange(peer), "big")
+            except (ValueError, UnsupportedAlgorithm):
+                pass
+    if _in_kernel(n) and e >= 0:
         parameters = _der(0x30, _der_modulus(n) + _der_int(base % n))
         der = _der(0x30, _DER_VERSION + _der(0x30, _DH_OID + parameters) + _der(0x04, _der_int(e)))
         try:

@@ -30,7 +30,7 @@ from .directed import (
     SignerNonceState,
     SignerProof,
 )
-from .group import KeyPair, Scalar, SchnorrGroup
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
 from .shamir import Share
 from .threshold import MaskedShare, ModifiedShadow, PartialResult, ThresholdSignature
 from .threshold_crypto import ThresholdCiphertext
@@ -224,10 +224,17 @@ def _stored_keypair(x: Scalar, y: int) -> KeyPair:
     return keypair
 
 
+def _public_key(value: GroupElement) -> GroupElement:
+    """A public key is a bare element other than 1: y = 1 masks every value to itself."""
+    if value.value == 1:
+        raise ValueError("public key is the identity")
+    return value
+
+
 # no group exists yet to range-check p, q, g against: SchnorrGroup validates them
 _GROUP = (SchnorrGroup, (("p", "p", INTEGER), ("q", "q", INTEGER), ("g", "g", INTEGER)))
 _KEYPAIR = (_stored_keypair, (("x", "x", SCALAR), ("y", "y", INTEGER)))
-_PUBLIC_KEY = (lambda value: value, (("y", "value", ELEMENT),))  # a bare element: y is its value
+_PUBLIC_KEY = (_public_key, (("y", "value", ELEMENT),))  # y is the element's value
 _DIRECTED_SIGNATURE = (DirectedSignature, (
     ("s", "s", SCALAR), ("w", "w", ELEMENT), ("v", "v", ELEMENT), ("m", "message", BYTES),
 ))

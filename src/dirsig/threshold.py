@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from .directed import check_response, mask, respond, unmask
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _nonce
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _held_exponent, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import (
     Share,
@@ -118,10 +118,11 @@ def _deal_masked_shares(
     shares = split(k1, k, [m.u for m in directory.members], rng, polynomial=polynomial)
     w = group.generator ** -k2
     commitment = group.generator ** k1
-    masked = tuple(
-        MaskedShare(u=share.u, v=mask(share.v.value, member.y, k2))
-        for share, member in zip(shares, directory.members)
-    )
+    with _held_exponent(group, k2.value):  # each key raised to k2 by one exchange
+        masked = tuple(
+            MaskedShare(u=share.u, v=mask(share.v.value, member.y, k2))
+            for share, member in zip(shares, directory.members)
+        )
     return k1, w, commitment, masked
 
 

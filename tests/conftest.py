@@ -71,3 +71,9 @@ def fallback_fixture_hash():
 def big_group():
     """One 512/160-bit group per session, deterministically generated."""
     return generate_group(512, 160, random.Random(0x5EED))
+
+
+@pytest.fixture(scope="session")
+def group_2048():
+    """One 2048/224-bit group per session, deterministically generated."""
+    return generate_group(2048, 224, random.Random(2048))

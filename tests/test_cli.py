@@ -919,7 +919,9 @@ def test_no_secret_output_may_name_the_file_that_is_sent_on(
 ):
     """`sign --nonce-out` naming the `--out` file left {k1, k2, sig} in the signature's
     place, and whoever is sent it gets x = (s - k1)/h; `dverify --commitment-out` naming
-    `--sig` left R there. Both are bad arguments before any write, however spelled."""
+    `--sig` left R there, `trecover --out` naming `--sig` the member's share (k1 when
+    k = 1) and `gdecrypt --out` naming `--ct` the plaintext. Each is bad arguments before
+    any write, however spelled."""
     tmp_path, group_file, message_file = toy_env
     monkeypatch.chdir(tmp_path)
     sig = tmp_path / "sig.json"
@@ -928,15 +930,15 @@ def test_no_secret_output_may_name_the_file_that_is_sent_on(
             "--message-file", message_file, "--out", "sig.json")
     dverify = ("dverify", *common, "--receiver", "bob", "--signer", "alice", "--sig", "sig.json")
 
-    def other_name():
+    def other_name(target="sig.json"):
         if spelling == "./":
-            return "./sig.json"
+            return f"./{target}"
         other = tmp_path / "other.json"
         other.unlink(missing_ok=True)
         if spelling == "symlink":
-            other.symlink_to("sig.json")
+            other.symlink_to(target)
         else:
-            os.link(sig, other)
+            os.link(tmp_path / target, other)
         return "other.json"
 
     def refused(argv, message):
@@ -956,6 +958,40 @@ def test_no_secret_output_may_name_the_file_that_is_sent_on(
     assert sig.read_bytes() == signature
     assert set(json.loads(signature)) == {"s", "w", "v", "m"}  # no k1
     assert run(*dverify, "--commitment-out", "./commit.json") == 0
+
+    dealing = ("--k", 1, "--member", "bob=1", "--message-file", message_file)
+    assert run("tsign", *common, "--signer", "alice", *dealing, "--out", "tsig.json") == 0
+    assert run("gencrypt", *common, "--sender", "alice", *dealing, "--out", "ct.json") == 0
+    capsys.readouterr()
+    sent = {name: (tmp_path / name).read_bytes() for name in ("tsig.json", "ct.json")}
+    trecover = ("trecover", *common, "--sig", "tsig.json", "--member", "bob", "--u", "1")
+    gdecrypt = ("gdecrypt", *common, "--ct", "ct.json", "--sender", "alice", "--member", "bob=1")
+    refused((*trecover, "--out", other_name("tsig.json")), "--out names the --sig file")
+    refused((*gdecrypt, "--out", other_name("ct.json")), "--out names the --ct file")
+    assert {name: (tmp_path / name).read_bytes() for name in sent} == sent
+    assert run(*trecover, "--out", "share.json") == 0
+    assert run(*gdecrypt, "--out", "plain.bin") == 0
+
+
+@pytest.mark.parametrize("command", ["sign", "tsign", "gencrypt"])
+def test_the_identity_is_not_a_public_key(toy_env, capsys, command):
+    """A `.pub` holding y = 1, a subgroup member, exits 3 before anything is written. At
+    512/160, `sign --receiver mallory` under it wrote v = R, so anyone could check
+    g^s = v·y_A^h, and `tsign --k 1` dealt mallory the share k1, hence x, in the clear."""
+    tmp_path, group_file, message_file = toy_env
+    serialize.save_json(tmp_path / "mallory.pub", {"y": "1"})
+    out = tmp_path / "out.json"
+    dealing = ("--member", "mallory=5", "--member", "bob=7", "--k", 1)
+    party = {
+        "sign": ("--signer", "alice", "--receiver", "mallory"),
+        "tsign": ("--signer", "alice", *dealing),
+        "gencrypt": ("--sender", "alice", *dealing),
+    }[command]
+    argv = (command, "--group", group_file, "--keystore", tmp_path, *party,
+            "--message-file", message_file, "--out", out)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == "error: parse-error: public key is the identity\n"
+    assert not out.exists()
 
 
 def test_tcombine_multiplies_the_partials_once(toy_env, capsys, monkeypatch):

@@ -24,16 +24,10 @@ from dirsig.group import (
     _der,
     _der_int,
     _modexp,
-    generate_group,
     is_probable_prime,
 )
 
 from conftest import CARMICHAEL_512, CHERNICK_K
-
-
-@pytest.fixture(scope="module")
-def group_2048():
-    return generate_group(2048, 224, random.Random(2048))
 
 
 @pytest.fixture()
