@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
+from .group import GroupElement, KeyPair, PublicScalar, Scalar, SchnorrGroup, _member_key, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 
 
@@ -26,13 +26,20 @@ def respond(
 def check_response(
     group: SchnorrGroup, s: Scalar, r: GroupElement, y: GroupElement, m: bytes, h: HashFunction
 ) -> Tuple[bool, Scalar]:
-    """Accept iff g^s = R * y^h(R, m) for a rebuilt commitment R = `r`; also return h(R, m)."""
+    """Accept iff g^s = R * y^h(R, m) for a rebuilt commitment R = `r`; also return h(R, m).
+
+    s is public, so g^s may take variable time; h(R, m) gives R away, so y^h may not.
+    """
     r_hash = h.hash_to_scalar(r, m)
-    return group.generator ** s == r * y ** r_hash, r_hash
+    return group.generator ** PublicScalar(s.value, s.group) == r * y ** r_hash, r_hash
 
 
 def mask(value: int, y: GroupElement, k: Scalar) -> int:
-    """Blind `value` under public key y with nonce k: value * y^k mod p, unblinded by w = g^-k."""
+    """Blind `value` under public key y with nonce k: value * y^k mod p, unblinded by w = g^-k.
+
+    Raises NotInSubgroupError unless y is a subgroup member other than 1.
+    """
+    _member_key(y.group, y.value)
     return value * (y ** k).value % y.group.p
 
 

@@ -6,9 +6,11 @@ group, so mixed-group arithmetic fails loudly instead of silently wrapping.
 
 Arithmetic is best-effort only with respect to timing side channels: every
 exponentiation modulo a p of 512 bits or more is one call to OpenSSL's
-constant-time Montgomery code (`_modexp`: a DH key load, or inside a dealing a
-held key's exchange), but toy groups (builtin pow) and all other big-integer
-operations do not attempt constant time.
+Montgomery code (`_modexp`). A secret exponent is raised in constant time, by a
+DH key load or inside a dealing a held key's exchange. Only a q-sized exponent
+anyone may know (a `PublicScalar` such as a response s, or the order q in a
+membership check) takes the faster, variable-time DSA key load. Toy groups
+(builtin pow) and all other big-integer operations do not attempt constant time.
 """
 
 from __future__ import annotations
@@ -71,12 +73,19 @@ def _sieve(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _sieve(2000)
 
 
-# OpenSSL exponentiates through a DH private key: loading PKCS#8 key x with
-# parameters (n, b) computes its public value b^x mod n by Montgomery's method
-# (Math. Comp. 1985), in constant time in x. It takes an odd n of 512 to 10000
-# bits; below that the loader raises ValueError, above it or for an even n the
+# OpenSSL exponentiates through a private key: loading PKCS#8 key x with parameters
+# (n, b) computes its public value b^x mod n by Montgomery's method (Math. Comp. 1985).
+# A DH key's value comes from OpenSSL's DH key generation, which raises b to x under
+# BN_FLG_CONSTTIME: its cost steps only with x's count of 64-bit words. A DSA key with
+# Dss-Parms (n, q, b) costs less, but `cryptography` 48 computes its value itself by a
+# plain BN_mod_exp, whose cost follows x's bits: at 2048 bits a 224-bit x with 2 bits
+# set loads in about 0.8x the time of q - 1. So only public exponents take it, and only
+# q-sized ones: a 511-bit exponent mod a 512-bit n took 1.17x as long on it as on DH.
+# The power does not use q, so q is a placeholder, 1. The kernel takes an odd n of 512
+# to 10000 bits; below that the loader raises ValueError, above it or for an even n the
 # kernel raises InternalError, so those inputs never reach it.
 _DH_OID = bytes.fromhex("06092a864886f70d010301")  # 1.2.840.113549.1.3.1, dhKeyAgreement
+_DSA_OID = bytes.fromhex("06072a8648ce380401")  # 1.2.840.10040.4.1, id-dsa
 
 
 def _der(tag: int, content: bytes) -> bytes:
@@ -93,11 +102,12 @@ def _der_int(value: int) -> bytes:
 
 
 _DER_VERSION = _der_int(0)  # PrivateKeyInfo version 0
+_DSA_PLACEHOLDER_Q = _der_int(1)
 _der_modulus = lru_cache(maxsize=8)(_der_int)  # a process raises mod a few p
 
 
 def _in_kernel(n: int) -> bool:
-    """n is a modulus OpenSSL's DH code takes: odd, of 512 to 10000 bits."""
+    """n is a modulus OpenSSL's key loaders take: odd, of 512 to 10000 bits."""
     return n % 2 == 1 and 512 <= n.bit_length() <= 10_000
 
 
@@ -107,13 +117,24 @@ def _in_kernel(n: int) -> bool:
 # 512/160. OpenSSL refuses a shared secret of 1 or p - 1, and `cryptography` raises that
 # refusal as a PanicException, which derives from BaseException alone. `_peer_key` admits
 # only subgroup members other than 1 and the key holds only k2 in [1, q-1], so y^k2 has
-# order q and is neither.
+# order q and is neither. `mask` has checked y by `_member_key` before it gets here.
 _HELD: ContextVar[Optional[tuple]] = ContextVar("dirsig_held_exponent", default=None)
 
 
 def _dh_parameters(group: "SchnorrGroup") -> bytes:
     """The DER AlgorithmIdentifier of DH over (p, g), shared by the held key and its peers."""
     return _der(0x30, _DH_OID + _der(0x30, _der_modulus(group.p) + _der_int(group.g)))
+
+
+@lru_cache(maxsize=256)  # public values only: a few directories' member keys
+def _member_key(group: "SchnorrGroup", y: int) -> None:
+    """Return if y is a subgroup member other than 1, else raise NotInSubgroupError.
+
+    A mask under 1 or under a key of small order is a power anyone can undo. A key
+    passes once per process; a refusal is not memoised.
+    """
+    if group.element(y).value == 1:
+        raise NotInSubgroupError("the identity is not a member key")
 
 
 @lru_cache(maxsize=256)  # public keys only: a few directories' members
@@ -123,8 +144,7 @@ def _peer_key(group: "SchnorrGroup", y: int):
     Raises NotInSubgroupError, before any key is loaded, unless y is a subgroup member
     other than 1.
     """
-    if group.element(y).value == 1:
-        raise NotInSubgroupError("the identity is not a member key")
+    _member_key(group, y)
     spki = _der(0x30, _dh_parameters(group) + _der(0x03, b"\0" + _der_int(y)))
     try:
         return load_der_public_key(spki)
@@ -158,9 +178,9 @@ def _held_exponent(group: "SchnorrGroup", e: int) -> Iterator[None]:
         _HELD.reset(token)
 
 
-def _modexp(base: int, e: int, n: int) -> int:
+def _modexp(base: int, e: int, n: int, public: bool = False) -> int:
     """base^e mod n: by the held key for its e and p, else on OpenSSL's kernel where it
-    takes the input, else by builtin pow."""
+    takes the input, else by builtin pow. Only a `public` e may take variable time."""
     held = _HELD.get()  # (group, e, key) inside a dealing's `_held_exponent`
     if held is not None and e == held[1] and n == held[0].p:
         peer = _peer_key(held[0], base)
@@ -170,8 +190,9 @@ def _modexp(base: int, e: int, n: int) -> int:
             except (ValueError, UnsupportedAlgorithm):
                 pass
     if _in_kernel(n) and e >= 0:
-        parameters = _der(0x30, _der_modulus(n) + _der_int(base % n))
-        der = _der(0x30, _DER_VERSION + _der(0x30, _DH_OID + parameters) + _der(0x04, _der_int(e)))
+        oid, q = (_DSA_OID, _DSA_PLACEHOLDER_Q) if public else (_DH_OID, b"")
+        parameters = _der(0x30, oid + _der(0x30, _der_modulus(n) + q + _der_int(base % n)))
+        der = _der(0x30, _DER_VERSION + parameters + _der(0x04, _der_int(e)))
         try:
             return load_der_private_key(der, None).private_numbers().public_numbers.y
         except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
@@ -236,7 +257,7 @@ def _check_parameters(p: int, q: int, g: int) -> None:
         raise OrderNotDividingError(f"{_bits(q)} q does not divide p - 1 ({_bits(p)} p)")
     if not 2 <= g <= p - 1:
         raise BadGeneratorError(f"{_bits(g)} generator g outside [2, p-1] ({_bits(p)} p)")
-    if _modexp(g, q, p) != 1:
+    if _modexp(g, q, p, public=True) != 1:
         raise BadGeneratorError(f"generator g does not have order q ({_bits(q)} q)")
 
 
@@ -271,7 +292,7 @@ class SchnorrGroup:
         this check is for values crossing a trust boundary (files, wire).
         """
         elem = GroupElement(value, self)
-        if _modexp(value, self.q, self.p) != 1:
+        if _modexp(value, self.q, self.p, public=True) != 1:
             raise NotInSubgroupError(f"{_bits(value)} value is not in the order-q subgroup")
         return elem
 
@@ -327,6 +348,14 @@ class Scalar:
         return self.value
 
 
+class PublicScalar(Scalar):
+    """A scalar anyone may know, such as a signature's response s.
+
+    A base raised to one may take the faster, variable-time kernel. Arithmetic on it
+    gives a plain Scalar again, which is raised in constant time.
+    """
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A value in [1, p-1], tagged with its group.
@@ -352,6 +381,7 @@ class GroupElement:
 
     def __pow__(self, exponent: Union[Scalar, int]) -> "GroupElement":
         group = self.group
+        public = isinstance(exponent, PublicScalar)
         if isinstance(exponent, Scalar):
             if exponent.group is not group and exponent.group != group:
                 raise ValueError("exponent belongs to a different group")
@@ -359,7 +389,7 @@ class GroupElement:
         if self.value == group.g:  # g has order q, so any exponent may be reduced
             exponent %= group.q
         # never reduced otherwise: an element need not lie in the subgroup
-        return GroupElement(_modexp(self.value, exponent, group.p), group)
+        return GroupElement(_modexp(self.value, exponent, group.p, public), group)
 
     def __int__(self) -> int:
         return self.value

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from dirsig.directed import (
     verify_as_third_party,
     verify_directed,
 )
-from dirsig.group import keygen
+from dirsig.group import GroupElement, NotInSubgroupError, keygen
 from dirsig.hashing import Sha256Hash
 from dirsig.serialize import directed_signature_to_dict
 
@@ -359,3 +360,26 @@ def test_signature_blinds_the_commitment_with_mask(big_group):
         sig, _ = sign_directed(big_group, signer, receiver.y, MSG, nonces=(k1, k2))
         expected = mask(pow(g, k1, p), receiver.y, big_group.scalar(k2))
         assert sig.v.value == expected == pow(g, k1, p) * pow(receiver.y.value, k2, p) % p
+
+
+@pytest.mark.parametrize("key", ["identity", "p-1"])
+@pytest.mark.parametrize("step", ["sign_directed", "prove_by_signer", "prove_by_receiver"])
+def test_no_step_masks_under_the_identity_or_a_key_of_order_two(big_group, step, key):
+    """Under y = 1, or y = p - 1 with an even nonce, the mask y^k is 1 and v is the bare
+    commitment R, with which anyone can check g^s = R * y_signer^h. Every step that masks
+    refuses such a key before writing anything."""
+    rng = random.Random(0x1D2)
+    signer, receiver = keygen(big_group, rng), keygen(big_group, rng)
+    bad = GroupElement(1 if key == "identity" else big_group.p - 1, big_group)
+    k1, k2 = rng.randrange(1, big_group.q), 2 * rng.randrange(1, big_group.q // 2)
+    with pytest.raises(NotInSubgroupError):
+        if step == "sign_directed":
+            sign_directed(big_group, signer, bad, MSG, nonces=(k1, k2))
+        else:
+            sig, nonces = sign_directed(big_group, signer, receiver.y, MSG, nonces=(k1, k2))
+            if step == "prove_by_signer":
+                prove_by_signer(big_group, nonces, bad)
+            else:
+                accept, commitment = verify_directed(big_group, sig, receiver, signer.y)
+                assert accept
+                prove_by_receiver(big_group, commitment, receiver, bad, nonce=k2)

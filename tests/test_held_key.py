@@ -2,8 +2,9 @@
 
 While `threshold._deal_masked_shares` masks its n shares, `_modexp(y, k2, p)`
 is one `exchange` of a DH private key, loaded once with k2, with y's DH public
-key, which `group._peer_key` loads once per (group, y) after checking that y is
-a subgroup member other than 1. The masks must be the ones builtin pow gives,
+key, which `group._peer_key` loads once per (group, y). `directed.mask` has
+already checked, once per (group, y) by `group._member_key`, that y is a
+subgroup member other than 1. The masks must be the ones builtin pow gives,
 every case the key may not take must keep `_modexp`, a key outside the subgroup
 must stop the dealing with an `Exception` (OpenSSL's refusal of a shared secret
 of 1 reaches Python as a PanicException, which derives from BaseException
@@ -22,7 +23,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirsig.group
-from dirsig.group import GroupElement, NotInSubgroupError, SchnorrGroup, _peer_key, keygen
+from dirsig.group import (
+    GroupElement,
+    NotInSubgroupError,
+    SchnorrGroup,
+    _member_key,
+    _peer_key,
+    keygen,
+)
 from dirsig.threshold import GroupDirectory, GroupMember, sign_for_group
 from dirsig.threshold_crypto import encrypt_to_group
 
@@ -31,9 +39,11 @@ from conftest import MSG
 
 @pytest.fixture()
 def fresh_peer_keys():
-    """An empty key cache before and after: a refused load is cached as None."""
+    """Empty key caches before and after: a refused load is cached as None."""
+    _member_key.cache_clear()
     _peer_key.cache_clear()
     yield
+    _member_key.cache_clear()
     _peer_key.cache_clear()
 
 

@@ -6,28 +6,43 @@ the subgroup. Inputs the kernel does not take (an even modulus, one outside
 512-10000 bits, a negative exponent) must reach builtin pow without calling
 the loader, and the inputs it does take must really reach it, so that a
 silent fallback to the slow path, or a cache in front of the kernel, fails
-here.
+here. A power whose exponent is public takes a second framing of the same
+kernel, a DSA key, whose cost follows the exponent's bits; no secret exponent
+may reach it.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import dsa
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dirsig.group
+from dirsig.directed import prove_by_signer, sign_directed, verify_as_third_party, verify_directed
 from dirsig.group import (
     _DH_OID,
     GroupElement,
     SchnorrGroup,
     _der,
     _der_int,
+    _member_key,
     _modexp,
     is_probable_prime,
+    keygen,
+)
+from dirsig.threshold import (
+    GroupDirectory,
+    GroupMember,
+    combine_and_verify,
+    modify_shadow,
+    partial_result,
+    recover_share,
+    sign_for_group,
 )
 
-from conftest import CARMICHAEL_512, CHERNICK_K
+from conftest import CARMICHAEL_512, CHERNICK_K, MSG
 
 
 @pytest.fixture()
@@ -61,9 +76,12 @@ def _bases(group):
 @pytest.mark.parametrize("size", ["512/160", "2048/224"])
 def test_kernel_equals_pow_at_the_edges(big_group, group_2048, size):
     group = big_group if size == "512/160" else group_2048
-    for e in _exponents(group):
-        for base in _bases(group):
-            assert _modexp(base, e, group.p) == pow(base, e, group.p), (e.bit_length(), base)
+    for public in (False, True):
+        for e in _exponents(group):
+            for base in _bases(group):
+                assert _modexp(base, e, group.p, public) == pow(base, e, group.p), (
+                    public, e.bit_length(), base
+                )
 
 
 def test_kernel_equals_pow_modulo_composites(big_group):
@@ -71,7 +89,7 @@ def test_kernel_equals_pow_modulo_composites(big_group):
         assert n.bit_length() >= 512 and n % 2 == 1
         for e in (*_exponents(big_group), n - 1, n):
             for base in (0, 1, 2, n - 1, n, big_group.g, 6 * CHERNICK_K + 1):
-                assert _modexp(base, e, n) == pow(base, e, n)
+                assert _modexp(base, e, n) == _modexp(base, e, n, public=True) == pow(base, e, n)
 
 
 def test_carmichael_number_is_still_rejected():
@@ -88,7 +106,7 @@ def test_carmichael_number_is_still_rejected():
     e=st.integers(0, 1 << 600),
 )
 def test_kernel_equals_pow_on_random_odd_moduli(n, base, e):
-    assert _modexp(base, e, n) == pow(base, e, n)
+    assert _modexp(base, e, n) == _modexp(base, e, n, public=True) == pow(base, e, n)
 
 
 @pytest.mark.parametrize(
@@ -171,3 +189,86 @@ def test_toy_groups_keep_builtin_pow(toy_group, loads):
     SchnorrGroup(23, 11, 3)
     assert (GroupElement(2, toy_group) ** 7).value == pow(2, 7, 23)
     assert loads["tried"] == 0
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_a_public_power_is_a_dsa_key_with_a_placeholder_q(
+    big_group, group_2048, monkeypatch, size
+):
+    """id-dsa (1.2.840.10040.4.1) with Dss-Parms (p, 1, base) and the exponent as x."""
+    group = big_group if size == "512/160" else group_2048
+    seen = []
+    original = dirsig.group.load_der_private_key
+
+    def recording_load(der, password):
+        seen.append(der)
+        return original(der, password)
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", recording_load)
+    base, e = group.g, group.q - 1
+    assert _modexp(base, e, group.p, public=True) == pow(base, e, group.p)
+    parameters = _der(0x30, _der_int(group.p) + bytes.fromhex("020101") + _der_int(base))
+    algorithm = _der(0x30, bytes.fromhex("06072a8648ce380401") + parameters)
+    assert seen == [_der(0x30, bytes.fromhex("020100") + algorithm + _der(0x04, _der_int(e)))]
+
+
+@pytest.fixture()
+def kernels(monkeypatch):
+    """The ("dsa" or "dh", exponent) of every key the loader returns, in call order."""
+    calls = []
+    original = dirsig.group.load_der_private_key
+
+    def recording_load(der, password):
+        key = original(der, password)
+        calls.append(("dsa" if isinstance(key, dsa.DSAPrivateKey) else "dh",
+                      key.private_numbers().x))
+        return key
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", recording_load)
+    return calls
+
+
+def test_only_public_exponents_take_the_variable_time_kernel(big_group, kernels):
+    """The response s and the order q of a membership or order check take the DSA framing;
+    keys, nonces, shadows and h(R, m), which gives R away, never do."""
+    _member_key.cache_clear()
+    group, q = big_group, big_group.q
+    rng = random.Random(0x5AFE)
+    signer, receiver, third = (keygen(group, rng) for _ in range(3))
+    assert kernels == [("dh", kp.x.value) for kp in (signer, receiver, third)]
+
+    def step(fn, *args, **kwargs):
+        kernels.clear()
+        return fn(*args, **kwargs)
+
+    k1, k2 = rng.randrange(1, q), rng.randrange(1, q)
+    sig, nonces = step(sign_directed, group, signer, receiver.y, MSG, nonces=(k1, k2))
+    assert kernels == [("dh", k1), ("dh", q - k2), ("dsa", q), ("dh", k2)]
+    accept, commitment = step(verify_directed, group, sig, receiver, signer.y)
+    assert accept
+    r_hash = commitment.r_hash.value
+    assert kernels == [("dh", receiver.x.value), ("dsa", sig.s.value), ("dh", r_hash)]
+    proof = step(prove_by_signer, group, nonces, third.y)
+    assert kernels == [("dh", k1), ("dsa", q), ("dh", k2)]
+    assert step(verify_as_third_party, group, sig, proof, third, signer.y)
+    assert [kind for kind, _ in kernels] == ["dh", "dsa", "dh"]
+    step(group.element, signer.y.value)
+    assert kernels == [("dsa", q)]
+    step(SchnorrGroup, group.p, group.q, group.g)  # 64 Miller-Rabin rounds on p, then g^q
+    assert [kind for kind, _ in kernels] == ["dh"] * 64 + ["dsa"]
+    assert kernels[-1] == ("dsa", q)
+
+    directory = GroupDirectory(members=(
+        GroupMember(u=group.scalar(1), y=receiver.y), GroupMember(u=group.scalar(2), y=third.y),
+    ))
+    tsig = step(sign_for_group, group, signer, directory, 2, MSG, nonces=(k1, k2))
+    assert kernels == [("dh", q - k2), ("dh", k1), ("dh", k2)]  # the last is the held key
+    ids = [m.u for m in directory.members]
+    kernels.clear()
+    partials = [
+        partial_result(group, modify_shadow(recover_share(group, tsig, kp, u), ids))
+        for kp, u in ((receiver, ids[0]), (third, ids[1]))
+    ]
+    assert [kind for kind, _ in kernels] == ["dh"] * 4
+    assert step(combine_and_verify, group, tsig, partials, signer.y)
+    assert [(kind, e == tsig.s.value) for kind, e in kernels] == [("dsa", True), ("dh", False)]

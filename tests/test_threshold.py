@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dirsig.directed import mask, sign_directed, verify_directed
-from dirsig.group import GroupElement, keygen, validate_group
+from dirsig.group import GroupElement, NotInSubgroupError, keygen, validate_group
 from dirsig.hashing import Sha256Hash
 from dirsig.serialize import threshold_signature_to_dict
 from dirsig.shamir import (
@@ -118,6 +118,18 @@ def test_golden_shadows_and_partials(toy_group, toy_keys, toy_directory, fixture
     assert (shadow1.value + shadow2.value).value == 9  # the dealt secret k1
     assert partial_result(toy_group, shadow1).value.value == 9  # 3^2
     assert partial_result(toy_group, shadow2).value.value == 2  # 3^7
+
+
+@pytest.mark.parametrize("deal", [sign_for_group, encrypt_to_group])
+def test_a_toy_dealing_to_a_key_of_order_two_stops(toy_group, toy_keys, deal):
+    """22 = -1 mod 23 has order 2, so under an even k2 its mask is 1 and the member's share
+    would go out in the clear. Toy groups hold no key, so the check is `mask`'s own."""
+    directory = GroupDirectory(members=(
+        GroupMember(u=toy_group.scalar(1), y=toy_keys["receiver"].y),
+        GroupMember(u=toy_group.scalar(2), y=GroupElement(22, toy_group)),
+    ))
+    with pytest.raises(NotInSubgroupError):
+        deal(toy_group, toy_keys["signer"], directory, 2, MSG, nonces=(9, 4))
 
 
 def test_partial_of_zero_shadow_is_identity(toy_group):
