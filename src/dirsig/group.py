@@ -6,21 +6,20 @@ group, so mixed-group arithmetic fails loudly instead of silently wrapping.
 
 Arithmetic is best-effort only with respect to timing side channels: every
 exponentiation modulo a p of 512 bits or more is one call to OpenSSL's
-Montgomery code (`_modexp`). A secret exponent is raised in constant time, by a
-DH key load or inside a dealing a held key's exchange. Only a q-sized exponent
-anyone may know (a `PublicScalar` such as a response s, or the order q in a
-membership check) takes the faster, variable-time DSA key load. Toy groups
-(builtin pow) and all other big-integer operations do not attempt constant time.
+Montgomery code, and `GroupElement.__pow__` picks the call from the exponent's type.
+A secret exponent is raised in constant time, by a DH key load or, for a `HeldScalar`,
+by its key's exchange. Only a q-sized exponent anyone may know (a `PublicScalar` such as a
+response s, or the order q in a membership check) takes the faster, variable-time DSA
+key load. Toy groups (builtin pow) and all other big-integer operations do not
+attempt constant time.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.primitives.serialization import load_der_private_key, load_der_public_key
@@ -111,19 +110,16 @@ def _in_kernel(n: int) -> bool:
     return n % 2 == 1 and 512 <= n.bit_length() <= 10_000
 
 
-# A dealing raises n member keys to one nonce k2. Inside `_held_exponent(group, k2)`,
-# `_modexp(y, k2, p)` is the `exchange` of one DH private key, loaded once with k2, with
-# y's DH public key, loaded once per (group, y) by `_peer_key`: 0.7-0.8x a key load at
-# 512/160. OpenSSL refuses a shared secret of 1 or p - 1, and `cryptography` raises that
-# refusal as a PanicException, which derives from BaseException alone. `_peer_key` admits
-# only subgroup members other than 1 and the key holds only k2 in [1, q-1], so y^k2 has
-# order q and is neither. `mask` has checked y by `_member_key` before it gets here.
-_HELD: ContextVar[Optional[tuple]] = ContextVar("dirsig_held_exponent", default=None)
+def _parameters(n: int, base: int, public: bool = False) -> bytes:
+    """The DER AlgorithmIdentifier of DH over (n, base), or of DSA over (n, 1, base)."""
+    oid, q = (_DSA_OID, _DSA_PLACEHOLDER_Q) if public else (_DH_OID, b"")
+    return _der(0x30, oid + _der(0x30, _der_modulus(n) + q + _der_int(base)))
 
 
-def _dh_parameters(group: "SchnorrGroup") -> bytes:
-    """The DER AlgorithmIdentifier of DH over (p, g), shared by the held key and its peers."""
-    return _der(0x30, _DH_OID + _der(0x30, _der_modulus(group.p) + _der_int(group.g)))
+def _private_key(n: int, base: int, e: int, public: bool = False):
+    """Load e as a PKCS#8 key over `_parameters(n, base, public)`, of value base^e mod n."""
+    der = _der(0x30, _DER_VERSION + _parameters(n, base, public) + _der(0x04, _der_int(e)))
+    return load_der_private_key(der, None)
 
 
 @lru_cache(maxsize=256)  # public values only: a few directories' member keys
@@ -145,56 +141,19 @@ def _peer_key(group: "SchnorrGroup", y: int):
     other than 1.
     """
     _member_key(group, y)
-    spki = _der(0x30, _dh_parameters(group) + _der(0x03, b"\0" + _der_int(y)))
+    spki = _der(0x30, _parameters(group.p, group.g) + _der(0x03, b"\0" + _der_int(y)))
     try:
         return load_der_public_key(spki)
     except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
         return None
 
 
-def _held_key(group: "SchnorrGroup", e: int) -> Optional[tuple]:
-    """(group, e, the DH private key of e over (p, g)), or None where none may be held."""
-    if not (_in_kernel(group.p) and 1 <= e < group.q):
-        return None
-    der = _der(0x30, _DER_VERSION + _dh_parameters(group) + _der(0x04, _der_int(e)))
-    try:
-        return group, e, load_der_private_key(der, None)
-    except (ValueError, UnsupportedAlgorithm):
-        return None
-
-
-@contextmanager
-def _held_exponent(group: "SchnorrGroup", e: int) -> Iterator[None]:
-    """Within the block, answer `_modexp(y, e, p)` by a held key's `exchange` with y's key.
-
-    Outside the kernel's moduli, for e outside [1, q-1], or where the loader refuses
-    the key, nothing is held and `_modexp` runs as everywhere else. The key holds e, so
-    only the context variable refers to it, and only for the block.
-    """
-    token = _HELD.set(_held_key(group, e))
-    try:
-        yield
-    finally:
-        _HELD.reset(token)
-
-
 def _modexp(base: int, e: int, n: int, public: bool = False) -> int:
-    """base^e mod n: by the held key for its e and p, else on OpenSSL's kernel where it
-    takes the input, else by builtin pow. Only a `public` e may take variable time."""
-    held = _HELD.get()  # (group, e, key) inside a dealing's `_held_exponent`
-    if held is not None and e == held[1] and n == held[0].p:
-        peer = _peer_key(held[0], base)
-        if peer is not None:
-            try:
-                return int.from_bytes(held[2].exchange(peer), "big")
-            except (ValueError, UnsupportedAlgorithm):
-                pass
+    """base^e mod n on OpenSSL's kernel where it takes the input, else by builtin pow.
+    Only a `public` e may take variable time."""
     if _in_kernel(n) and e >= 0:
-        oid, q = (_DSA_OID, _DSA_PLACEHOLDER_Q) if public else (_DH_OID, b"")
-        parameters = _der(0x30, oid + _der(0x30, _der_modulus(n) + q + _der_int(base % n)))
-        der = _der(0x30, _DER_VERSION + parameters + _der(0x04, _der_int(e)))
         try:
-            return load_der_private_key(der, None).private_numbers().public_numbers.y
+            return _private_key(n, base % n, e, public).private_numbers().public_numbers.y
         except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
             pass
     return pow(base, e, n)
@@ -356,6 +315,30 @@ class PublicScalar(Scalar):
     """
 
 
+# A dealing raises n member keys to one nonce k2, held once as a DH key over (p, g): y^k2
+# is that key's `exchange` with y's key from `_peer_key`, 0.7-0.8x a key load at 512/160.
+# OpenSSL refuses a shared secret of 1 or p - 1 with a PanicException, a BaseException
+# alone; `_peer_key` admits only members other than 1, and k2 lies in [1, q-1], so y^k2
+# has order q and is neither.
+@dataclass(frozen=True)
+class HeldScalar(Scalar):
+    """A secret scalar with its DH private key; arithmetic on it gives a plain Scalar."""
+
+    value: int = field(repr=False)
+    key: Any = field(repr=False, compare=False)
+
+
+def _held(k: Scalar) -> Scalar:
+    """k with its key, or k itself outside the kernel, for k = 0 or where it is refused."""
+    group = k.group
+    if _in_kernel(group.p) and k.value:
+        try:
+            return HeldScalar(k.value, group, _private_key(group.p, group.g, k.value))
+        except (ValueError, UnsupportedAlgorithm):
+            pass
+    return k
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A value in [1, p-1], tagged with its group.
@@ -380,11 +363,18 @@ class GroupElement:
         return GroupElement(self.value * other.value % self.group.p, self.group)
 
     def __pow__(self, exponent: Union[Scalar, int]) -> "GroupElement":
+        """self^exponent: by its key's exchange for a `HeldScalar`, the variable-time DSA
+        load for a `PublicScalar`, and the constant-time DH load for any other exponent."""
         group = self.group
         public = isinstance(exponent, PublicScalar)
         if isinstance(exponent, Scalar):
             if exponent.group is not group and exponent.group != group:
                 raise ValueError("exponent belongs to a different group")
+            if isinstance(exponent, HeldScalar) and (peer := _peer_key(group, self.value)):
+                try:
+                    return GroupElement(int.from_bytes(exponent.key.exchange(peer), "big"), group)
+                except (ValueError, UnsupportedAlgorithm):  # as where a key load is refused
+                    pass
             exponent = exponent.value
         if self.value == group.g:  # g has order q, so any exponent may be reduced
             exponent %= group.q

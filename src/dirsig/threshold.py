@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from .directed import check_response, mask, respond, unmask
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _held_exponent, _nonce
+from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _bits, _held, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 from .shamir import (
     Share,
@@ -112,17 +112,18 @@ def _deal_masked_shares(
 ) -> Tuple[Scalar, GroupElement, GroupElement, Tuple[MaskedShare, ...]]:
     """Draw (k1, k2); return k1, w = g^-k2, g^k1 and the masked shares of k1.
 
-    Splitting comes first, so a bad threshold fails before any exponentiation.
+    Splitting comes first, so a bad threshold fails before any exponentiation. Each mask
+    is one exchange of the DH key that `_held(k2)` carries, loaded once for the dealing.
     """
     k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
     shares = split(k1, k, [m.u for m in directory.members], rng, polynomial=polynomial)
     w = group.generator ** -k2
     commitment = group.generator ** k1
-    with _held_exponent(group, k2.value):  # each key raised to k2 by one exchange
-        masked = tuple(
-            MaskedShare(u=share.u, v=mask(share.v.value, member.y, k2))
-            for share, member in zip(shares, directory.members)
-        )
+    held = _held(k2)
+    masked = tuple(
+        MaskedShare(u=share.u, v=mask(share.v.value, member.y, held))
+        for share, member in zip(shares, directory.members)
+    )
     return k1, w, commitment, masked
 
 

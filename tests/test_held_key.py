@@ -1,8 +1,10 @@
 """The held DH key that raises a dealing's member keys to its nonce k2.
 
-While `threshold._deal_masked_shares` masks its n shares, `_modexp(y, k2, p)`
-is one `exchange` of a DH private key, loaded once with k2, with y's DH public
-key, which `group._peer_key` loads once per (group, y). `directed.mask` has
+`threshold._deal_masked_shares` masks its n shares under `group._held(k2)`, a
+`HeldScalar` that carries k2's DH private key, loaded once for the dealing. The key
+rides on the exponent: `GroupElement.__pow__` raises y to it by one `exchange` of
+that key with y's DH public key, which `group._peer_key` loads once per (group, y),
+and raises y to any other scalar of k2's value by a DH key load. `directed.mask` has
 already checked, once per (group, y) by `group._member_key`, that y is a
 subgroup member other than 1. The masks must be the ones builtin pow gives,
 every case the key may not take must keep `_modexp`, a key outside the subgroup
@@ -11,6 +13,7 @@ of 1 reaches Python as a PanicException, which derives from BaseException
 alone), and nothing that holds k2 may outlive the dealing.
 """
 
+import dataclasses
 import random
 import sys
 import threading
@@ -23,10 +26,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirsig.group
+import dirsig.threshold
 from dirsig.group import (
     GroupElement,
+    HeldScalar,
     NotInSubgroupError,
+    Scalar,
     SchnorrGroup,
+    _held,
     _member_key,
     _peer_key,
     keygen,
@@ -62,18 +69,30 @@ class _CountingKey:
 def held_keys(fail=False):
     """Counts the keys held ("held") and their exchanges; `fail` makes each exchange raise."""
     counts = Counter()
-    original = dirsig.group._held_key
 
-    def counting(group, e):
-        held = original(group, e)
-        if held is not None:
+    def counting(k):
+        held = _held(k)
+        if isinstance(held, HeldScalar):
             counts["held"] += 1
-            held = (*held[:2], _CountingKey(held[2], counts, fail))
+            held = dataclasses.replace(held, key=_CountingKey(held.key, counts, fail))
         return held
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dirsig.group, "_held_key", counting)
+        mp.setattr(dirsig.threshold, "_held", counting)
         yield counts
+
+
+def _recorded_loads(monkeypatch):
+    """The list of every private key that `group` loads from here on."""
+    loaded = []
+    original = dirsig.group.load_der_private_key
+
+    def recording_load(der, password):
+        loaded.append(original(der, password))
+        return loaded[-1]
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", recording_load)
+    return loaded
 
 
 def _directory(group, ys):
@@ -182,16 +201,8 @@ def test_the_key_cache_holds_no_secret_of_a_dealing(big_group, fresh_peer_keys, 
     n = 6
     directory = _directory(big_group, [keygen(big_group, rng).y for _ in range(n)])
     k2 = rng.randrange(1, big_group.q)
-    loaded = []
-    original = dirsig.group.load_der_private_key
-
-    def recording_load(der, password):
-        loaded.append(original(der, password))
-        return loaded[-1]
-
-    monkeypatch.setattr(dirsig.group, "load_der_private_key", recording_load)
+    loaded = _recorded_loads(monkeypatch)
     _deal(big_group, directory, [11, 12, 13], k2)
-    assert dirsig.group._HELD.get() is None
     (held,) = [key for key in loaded if key.private_numbers().x == k2]
     assert sys.getrefcount(held) == 3  # `loaded`, `held` and the argument of getrefcount
     assert _peer_key.cache_info().currsize == n
@@ -222,8 +233,8 @@ def test_a_key_is_checked_once_per_process(big_group, fresh_peer_keys, monkeypat
 
 
 def test_dealings_in_threads_hold_their_own_keys(big_group):
-    """The held key lives in a context variable: a dealing in one thread neither reads nor
-    leaves behind another thread's key, however the threads interleave."""
+    """The held key rides on the exponent each dealing passes to `mask`: a dealing in one
+    thread never raises by another thread's key, however the threads interleave."""
     rng = random.Random(0x7EAD)
     directory = _directory(big_group, [keygen(big_group, rng).y for _ in range(3)])
     nonces = [[rng.randrange(1, big_group.q) for _ in range(5)] for _ in range(4)]
@@ -246,5 +257,72 @@ def test_dealings_in_threads_hold_their_own_keys(big_group):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
-    assert dirsig.group._HELD.get() is None
+
+
+def test_only_a_held_exponent_takes_the_exchange(big_group, fresh_peer_keys, monkeypatch):
+    """Inside a dealing, a member key raised to a plain Scalar of k2's value takes a DH key
+    load: only the `HeldScalar` that the dealing passes to `mask` is exchanged."""
+    group = big_group
+    rng = random.Random(0x0E1D)
+    n = 4
+    directory = _directory(group, [keygen(group, rng).y for _ in range(n)])
+    k1, k2 = rng.randrange(1, group.q), rng.randrange(1, group.q)
+    original = dirsig.threshold.mask
+
+    def mask_and_raise(value, y, k):
+        y ** Scalar(k.value, k.group)
+        return original(value, y, k)
+
+    monkeypatch.setattr(dirsig.threshold, "mask", mask_and_raise)
+    loaded = _recorded_loads(monkeypatch)
+    with held_keys() as counts:
+        masks = _deal(group, directory, [k1, 3], k2)
+    assert masks == _masks(group, directory, [k1, 3], k2)
+    assert counts == {"held": 1, "exchange": n}
+    dh_loads = [
+        (key.parameters().parameter_numbers().g, key.private_numbers().x)
+        for key in loaded if isinstance(key, dh.DHPrivateKey)
+    ]
+    g, signer = group.g, keygen(group, random.Random(1)).x.value  # `_deal`'s signer
+    assert dh_loads == [(g, signer), (g, group.q - k2), (g, k1), (g, k2)] + [
+        (member.y.value, k2) for member in directory.members
+    ]
+
+
+def test_a_held_scalar_keeps_its_secret_and_its_scope(big_group, monkeypatch):
+    """Its repr shows k2 in neither hex nor decimal; arithmetic on it gives a plain Scalar,
+    so `g ** -k2` never takes the exchange; and once `sign_for_group` returns, nothing but
+    this test refers to the HeldScalar its dealing made, or to its key."""
+    group = big_group
+    rng = random.Random(0x5EC2)
+    k2 = rng.randrange(1, group.q)
+    held = _held(group.scalar(k2))
+    assert isinstance(held, HeldScalar)
+    shown = repr(held)
+    assert str(k2) not in shown
+    assert f"{k2:x}" not in shown.lower()
+    for derived in (-held, held + group.scalar(0), held * group.scalar(1)):
+        assert type(derived) is Scalar
+    assert (held + group.scalar(0)).value == (held * group.scalar(1)).value == k2
+    counts = Counter()
+    counting = dataclasses.replace(held, key=_CountingKey(held.key, counts, False))
+    assert (group.generator ** -counting).value == pow(group.g, group.q - k2, group.p)
+    assert not counts
+    assert (group.generator ** counting).value == pow(group.g, k2, group.p)
+    assert counts == {"exchange": 1}
+
+    made = []
+
+    def capturing(k):
+        made.append(_held(k))
+        return made[-1]
+
+    monkeypatch.setattr(dirsig.threshold, "_held", capturing)
+    directory = _directory(group, [keygen(group, rng).y for _ in range(3)])
+    _deal(group, directory, [5, 6], k2)
+    (dealt,) = made
+    assert isinstance(dealt, HeldScalar) and dealt.value == k2
+    assert sys.getrefcount(dealt) == 3  # `made`, `dealt` and the argument of getrefcount
+    key = dealt.key
+    assert sys.getrefcount(key) == 3  # `dealt`'s field, `key` and the argument
 
