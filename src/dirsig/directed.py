@@ -12,7 +12,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .group import GroupElement, KeyPair, PublicScalar, Scalar, SchnorrGroup, _member_key, _nonce
+from .group import (
+    GroupElement, KeyPair, Member, NotInSubgroupError, PublicScalar, Scalar, SchnorrGroup, _nonce,
+)
 from .hashing import DEFAULT_HASH, HashFunction
 
 
@@ -34,18 +36,24 @@ def check_response(
     return group.generator ** PublicScalar(s.value, s.group) == r * y ** r_hash, r_hash
 
 
+def _member(e: GroupElement) -> Member:
+    """e as a `Member`: one membership power for a plain element, none for a member."""
+    return e if isinstance(e, Member) else e.group.element(e.value)
+
+
 def mask(value: int, y: GroupElement, k: Scalar) -> int:
     """Blind `value` under public key y with nonce k: value * y^k mod p, unblinded by w = g^-k.
 
     Raises NotInSubgroupError unless y is a subgroup member other than 1.
     """
-    _member_key(y.group, y.value)
-    return value * (y ** k).value % y.group.p
+    if y.value == 1:
+        raise NotInSubgroupError("the identity is not a member key")
+    return value * (_member(y) ** k).value % y.group.p
 
 
 def unmask(v: int, w: GroupElement, x: Scalar) -> int:
-    """Undo `mask` with the private key x of y = g^x: v * w^x mod p."""
-    return v * (w ** x).value % w.group.p
+    """Undo `mask` with the private key x of y = g^x: v * w^x mod p, for a member w only."""
+    return v * (_member(w) ** x).value % w.group.p
 
 
 @dataclass(frozen=True)

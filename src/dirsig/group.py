@@ -122,25 +122,9 @@ def _private_key(n: int, base: int, e: int, public: bool = False):
     return load_der_private_key(der, None)
 
 
-@lru_cache(maxsize=256)  # public values only: a few directories' member keys
-def _member_key(group: "SchnorrGroup", y: int) -> None:
-    """Return if y is a subgroup member other than 1, else raise NotInSubgroupError.
-
-    A mask under 1 or under a key of small order is a power anyone can undo. A key
-    passes once per process; a refusal is not memoised.
-    """
-    if group.element(y).value == 1:
-        raise NotInSubgroupError("the identity is not a member key")
-
-
 @lru_cache(maxsize=256)  # public keys only: a few directories' members
 def _peer_key(group: "SchnorrGroup", y: int):
-    """Member key y as a DH public key, or None where the loader refuses it.
-
-    Raises NotInSubgroupError, before any key is loaded, unless y is a subgroup member
-    other than 1.
-    """
-    _member_key(group, y)
+    """Member key y as a DH public key, or None where the loader refuses it."""
     spki = _der(0x30, _parameters(group.p, group.g) + _der(0x03, b"\0" + _der_int(y)))
     try:
         return load_der_public_key(spki)
@@ -237,20 +221,20 @@ class SchnorrGroup:
         _check_parameters(self.p, self.q, self.g)
 
     @property
-    def generator(self) -> "GroupElement":
-        return GroupElement(self.g, self)
+    def generator(self) -> "Member":
+        return Member(self.g, self)
 
     def scalar(self, value: int) -> "Scalar":
         """Reduce an integer into Z_q."""
         return Scalar(value % self.q, self)
 
-    def element(self, value: int) -> "GroupElement":
-        """Import an untrusted integer, enforcing subgroup membership.
+    def element(self, value: int) -> "Member":
+        """Import an untrusted integer as a `Member`, enforcing subgroup membership.
 
-        Internal arithmetic stays inside the subgroup by construction;
-        this check is for values crossing a trust boundary (files, wire).
+        Products and powers of members stay members; this check is for values
+        crossing a trust boundary (files, wire, a library caller's plain element).
         """
-        elem = GroupElement(value, self)
+        elem = Member(value, self)
         if _modexp(value, self.q, self.p, public=True) != 1:
             raise NotInSubgroupError(f"{_bits(value)} value is not in the order-q subgroup")
         return elem
@@ -318,7 +302,7 @@ class PublicScalar(Scalar):
 # A dealing raises n member keys to one nonce k2, held once as a DH key over (p, g): y^k2
 # is that key's `exchange` with y's key from `_peer_key`, 0.7-0.8x a key load at 512/160.
 # OpenSSL refuses a shared secret of 1 or p - 1 with a PanicException, a BaseException
-# alone; `_peer_key` admits only members other than 1, and k2 lies in [1, q-1], so y^k2
+# alone; `directed.mask` raises only members other than 1, and k2 lies in [1, q-1], so y^k2
 # has order q and is neither.
 @dataclass(frozen=True)
 class HeldScalar(Scalar):
@@ -341,11 +325,8 @@ def _held(k: Scalar) -> Scalar:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A value in [1, p-1], tagged with its group.
-
-    Everything this toolkit produces is a power or product of subgroup
-    members and therefore stays in the order-q subgroup; membership of
-    untrusted inputs is enforced by `SchnorrGroup.element`.
+    """A value in [1, p-1], tagged with its group; a `Member` if it is known to lie in
+    the order-q subgroup. Equality and hash see the value and group, not the class.
     """
 
     value: int
@@ -355,34 +336,45 @@ class GroupElement:
         if not 1 <= self.value <= self.group.p - 1:
             raise ValueError(f"{_bits(self.value)} element outside [1, p-1]")
 
+    def __eq__(self, other: object) -> bool:  # the dataclass's would compare classes too
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.value == other.value and self.group == other.group
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             raise TypeError(f"expected GroupElement, got {type(other).__name__}")
         if other.group is not self.group and other.group != self.group:
             raise ValueError("elements belong to different groups")
-        return GroupElement(self.value * other.value % self.group.p, self.group)
+        kind = Member if isinstance(self, Member) and isinstance(other, Member) else GroupElement
+        return kind(self.value * other.value % self.group.p, self.group)
 
     def __pow__(self, exponent: Union[Scalar, int]) -> "GroupElement":
-        """self^exponent: by its key's exchange for a `HeldScalar`, the variable-time DSA
-        load for a `PublicScalar`, and the constant-time DH load for any other exponent."""
+        """self^exponent: by its key's exchange for a `HeldScalar` and a `Member` base, the
+        variable-time DSA load for a `PublicScalar`, and the constant-time DH load otherwise."""
         group = self.group
         public = isinstance(exponent, PublicScalar)
         if isinstance(exponent, Scalar):
             if exponent.group is not group and exponent.group != group:
                 raise ValueError("exponent belongs to a different group")
-            if isinstance(exponent, HeldScalar) and (peer := _peer_key(group, self.value)):
+            held = isinstance(exponent, HeldScalar) and isinstance(self, Member)
+            if held and (peer := _peer_key(group, self.value)):
                 try:
-                    return GroupElement(int.from_bytes(exponent.key.exchange(peer), "big"), group)
+                    return type(self)(int.from_bytes(exponent.key.exchange(peer), "big"), group)
                 except (ValueError, UnsupportedAlgorithm):  # as where a key load is refused
                     pass
             exponent = exponent.value
-        if self.value == group.g:  # g has order q, so any exponent may be reduced
+        if isinstance(self, Member):  # of order q or 1, so any exponent may be reduced
             exponent %= group.q
-        # never reduced otherwise: an element need not lie in the subgroup
-        return GroupElement(_modexp(self.value, exponent, group.p, public), group)
+        return type(self)(_modexp(self.value, exponent, group.p, public), group)
 
     def __int__(self) -> int:
         return self.value
+
+
+class Member(GroupElement):
+    """A subgroup member: parsed by `SchnorrGroup.element`, or a product or power of
+    members. It adds no field or method, so every power of it still takes `__pow__`."""
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ class MalformedSignatureError(SerializationError):
 # Field kinds. A kind is one of these names, another artifact's table (a
 # nested object) or a one-item list holding a table (a list of objects).
 SCALAR = "scalar"  # Scalar, hex below q
-ELEMENT = "element"  # GroupElement, hex of a subgroup member
+ELEMENT = "element"  # Member, hex of a subgroup member
 MASKED = "masked"  # int in Z_p: a masked share lies outside the subgroup
 BYTES = "bytes"  # bytes, even-length lowercase hex
 THRESHOLD = "threshold"  # JSON integer

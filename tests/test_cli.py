@@ -9,6 +9,7 @@ import shlex
 import stat
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,7 @@ import dirsig.cli
 from dirsig import FixtureHash, FixtureMissError, serialize
 from dirsig.cli import main
 from dirsig.directed import sign_directed, verify_directed
-from dirsig.group import GroupElement, keygen
+from dirsig.group import GroupElement, SchnorrGroup, keygen
 from dirsig.keystore import Keystore
 
 from conftest import MSG
@@ -1052,3 +1053,72 @@ def test_gdecrypt_rejects_a_short_cipher_nonce_before_any_member_step(
     assert run("gdecrypt", *common, "--ct", ct, "--member", "bob=1", "--out", plain) == 3
     assert powers == []  # no key was loaded and no member step ran
     assert "error: parse-error: cipher nonce must be 12 bytes" in capsys.readouterr().err
+
+
+def count_element_calls(monkeypatch):
+    """A Counter of the `SchnorrGroup.element` calls from here on, by value: one
+    membership power each."""
+    calls = Counter()
+    original = SchnorrGroup.element
+
+    def counting_element(self, value):
+        calls[value] += 1
+        return original(self, value)
+
+    monkeypatch.setattr(SchnorrGroup, "element", counting_element)
+    return calls
+
+
+@pytest.fixture()
+def big_env(tmp_path, big_group, request):
+    """A 512/160 keystore of five keys, so that no two checked values coincide, drawn
+    afresh for each test, so that no process-wide memo of an earlier test holds them."""
+    store, rng = Keystore(tmp_path), random.Random(request.node.name)
+    keys = {name: keygen(big_group, rng) for name in ("alice", "bob", "carol", "dave", "erin")}
+    for name, keypair in keys.items():
+        store.save_keypair(name, keypair)
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    message_file = tmp_path / "m.bin"
+    message_file.write_bytes(MSG)
+    return tmp_path, ("--group", group_file, "--keystore", tmp_path), message_file, keys
+
+
+@pytest.mark.parametrize("command, role", [("tsign", "--signer"), ("gencrypt", "--sender")])
+def test_a_dealing_checks_each_member_key_once(big_env, monkeypatch, command, role):
+    """Parsing a .pub makes its key a `Member`, so a dealing's masks check no key again."""
+    tmp_path, common, message_file, keys = big_env
+    calls = count_element_calls(monkeypatch)
+    members = [f"--member={name}={u}" for u, name in enumerate(("bob", "carol", "dave", "erin"), 1)]
+    assert run(
+        command, *common, role, "alice", "--k", 2, *members,
+        "--message-file", message_file, "--out", tmp_path / "out.json",
+    ) == 0
+    assert calls == {keys[name].y.value: 1 for name in ("bob", "carol", "dave", "erin")}
+
+
+@pytest.mark.parametrize("command", ["sign", "prove-signer", "prove-receiver"])
+def test_a_directed_step_checks_each_public_key_once(big_env, monkeypatch, command):
+    """Each .pub a step reads costs one membership power, at its parse; the step's mask
+    under it costs none. The other checks are of the read document's own elements."""
+    tmp_path, common, message_file, keys = big_env
+    sig, commitment = tmp_path / "sig.json", tmp_path / "commitment.json"
+    signing = ("sign", *common, "--signer", "alice", "--receiver", "bob",
+               "--message-file", message_file, "--out", sig)
+    if command != "sign":
+        assert run(*signing) == 0
+        assert run("dverify", *common, "--receiver", "bob", "--signer", "alice", "--sig", sig,
+                   "--commitment-out", commitment) == 0
+    proving = ("--third-party", "carol", "--out", tmp_path / "proof.json")
+    if command == "sign":
+        argv, pub, elements = signing, "bob", []
+    elif command == "prove-signer":
+        argv = ("prove-signer", *common, "--nonces", f"{sig}.nonces", *proving)
+        pub, elements = "carol", [serialize.load_json(sig)[key] for key in ("w", "v")]
+    else:
+        argv = ("prove-receiver", *common, "--commitment", commitment, "--receiver", "bob",
+                *proving)
+        pub, elements = "carol", [serialize.load_json(commitment)["r_elem"]]
+    calls = count_element_calls(monkeypatch)
+    assert run(*argv) == 0
+    assert calls == {keys[pub].y.value: 1, **{int(value, 16): 1 for value in elements}}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dirsig.directed import (
     DirectedSignature,
+    ReceiverProof,
     check_response,
     mask,
     prove_by_receiver,
@@ -26,7 +27,7 @@ from dirsig.directed import (
     verify_as_third_party,
     verify_directed,
 )
-from dirsig.group import GroupElement, NotInSubgroupError, keygen
+from dirsig.group import GroupElement, KeyPair, NotInSubgroupError, keygen
 from dirsig.hashing import Sha256Hash
 from dirsig.serialize import directed_signature_to_dict
 
@@ -383,3 +384,37 @@ def test_no_step_masks_under_the_identity_or_a_key_of_order_two(big_group, step,
                 accept, commitment = verify_directed(big_group, sig, receiver, signer.y)
                 assert accept
                 prove_by_receiver(big_group, commitment, receiver, bad, nonce=k2)
+
+
+def order_three(group):
+    """A plain element z of order 3: (p - 1)/q of the 512/160 test group has the factor 3."""
+    p = group.p
+    assert (p - 1) // group.q % 3 == 0
+    z = next(z for z in (pow(b, (p - 1) // 3, p) for b in range(2, 100)) if z != 1)
+    return GroupElement(z, group)
+
+
+@pytest.mark.parametrize("path", ["verify_directed", "receiver_proof"])
+def test_a_small_subgroup_query_is_refused(big_group, path):
+    """Lim and Lee (CRYPTO '97): with z of order 3, (s, w*z, v*z^-t) unmasks to R * z^(x-t),
+    so a verdict would tell whether the verifier's x is t mod 3. `unmask` takes only
+    members, so each t is refused before any verdict. Without that check, the verdicts
+    for t = 0, 1, 2 read [False, True, False] for an x of 1 mod 3."""
+    group, rng = big_group, random.Random(0x0D3)
+    signer, third = keygen(group, rng), keygen(group, rng)
+    receiver = KeyPair.from_private(group, 3 * rng.randrange(1, group.q // 3) + 1)
+    z = order_three(group)
+    sig, _ = sign_directed(group, signer, receiver.y, MSG, rng)
+    accept, commitment = verify_directed(group, sig, receiver, signer.y)
+    assert accept
+    proof = prove_by_receiver(group, commitment, receiver, third.y, rng)
+    for t in range(3):
+        with pytest.raises(NotInSubgroupError):
+            if path == "verify_directed":
+                v = GroupElement(sig.v.value * (z ** -t).value % group.p, group)
+                queried = dataclasses.replace(sig, w=sig.w * z, v=v)
+                verify_directed(group, queried, receiver, signer.y)
+            else:
+                v_c = GroupElement(proof.v_c.value * (z ** -t).value % group.p, group)
+                queried = ReceiverProof(w_c=proof.w_c * z, v_c=v_c)
+                verify_as_third_party(group, sig, queried, third, signer.y)

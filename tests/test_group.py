@@ -1,8 +1,11 @@
 """Group parameter validation, generation, keys, and modular arithmetic."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirsig.group import (
     BadGeneratorError,
@@ -10,11 +13,15 @@ from dirsig.group import (
     CompositeOrderError,
     GenerationError,
     GroupElement,
+    HeldScalar,
     KeyPair,
+    Member,
     NonInvertibleError,
     NotInSubgroupError,
     OrderNotDividingError,
+    PublicScalar,
     Scalar,
+    _held,
     generate_group,
     is_probable_prime,
     keygen,
@@ -235,3 +242,39 @@ def test_errors_give_sizes_not_digits(toy_group, big_group):
     with pytest.raises(NotInSubgroupError) as info:
         big_group.element(big_group.p - 1)
     assert str(big_group.p - 1) not in str(info.value)
+
+
+@pytest.mark.parametrize("which", ["toy", "big"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_a_member_is_a_group_element_that_records_a_check(toy_group, big_group, which, data):
+    """`group.element(v)` equals and hashes as `GroupElement(v, group)`, both ways; a product
+    is a `Member` only of two members, and a power only of a member base, whatever the
+    exponent's type."""
+    group = toy_group if which == "toy" else big_group
+    p, q = group.p, group.q
+    value = pow(group.g, data.draw(st.integers(0, q - 1)), p)
+    member, plain = group.element(value), GroupElement(value, group)
+    assert type(member) is Member and type(plain) is GroupElement
+    assert member == plain and plain == member and not member != plain
+    assert hash(member) == hash(plain) and {plain: 1}[member] == 1
+    other = group.element(pow(group.g, data.draw(st.integers(0, q - 1)), p))
+    assert type(member * other) is Member
+    assert type(member * plain) is type(plain * member) is GroupElement
+    assert member * other == plain * other == GroupElement(value * other.value % p, group)
+    e = data.draw(st.integers(1, q - 1))
+    exponents = [group.scalar(e), PublicScalar(e, group), _held(group.scalar(e)), e]
+    if which == "big":
+        assert isinstance(exponents[2], HeldScalar)
+    for exponent in exponents:
+        assert type(member ** exponent) is Member and type(plain ** exponent) is GroupElement
+        assert member ** exponent == plain ** exponent == GroupElement(pow(value, e, p), group)
+
+
+def test_a_member_defines_no_field_or_method_of_its_own():
+    """The bench tracer and tests/test_costs.py count powers by patching
+    `GroupElement.__pow__` on the class: an override in `Member` would hide every power of
+    a member from them."""
+    assert dataclasses.fields(Member) == dataclasses.fields(GroupElement)
+    assert not {name for name, attr in vars(Member).items() if callable(attr)}
+    assert Member.__pow__ is GroupElement.__pow__ and Member.__mul__ is GroupElement.__mul__

@@ -5,8 +5,8 @@
 rides on the exponent: `GroupElement.__pow__` raises y to it by one `exchange` of
 that key with y's DH public key, which `group._peer_key` loads once per (group, y),
 and raises y to any other scalar of k2's value by a DH key load. `directed.mask` has
-already checked, once per (group, y) by `group._member_key`, that y is a
-subgroup member other than 1. The masks must be the ones builtin pow gives,
+already made y a `Member` other than 1: a member key needs no check, and a plain
+element pays one membership power per mask. The masks must be the ones builtin pow gives,
 every case the key may not take must keep `_modexp`, a key outside the subgroup
 must stop the dealing with an `Exception` (OpenSSL's refusal of a shared secret
 of 1 reaches Python as a PanicException, which derives from BaseException
@@ -34,7 +34,6 @@ from dirsig.group import (
     Scalar,
     SchnorrGroup,
     _held,
-    _member_key,
     _peer_key,
     keygen,
 )
@@ -46,11 +45,9 @@ from conftest import MSG
 
 @pytest.fixture()
 def fresh_peer_keys():
-    """Empty key caches before and after: a refused load is cached as None."""
-    _member_key.cache_clear()
+    """Empty the key cache before and after: a refused load is cached as None."""
     _peer_key.cache_clear()
     yield
-    _member_key.cache_clear()
     _peer_key.cache_clear()
 
 
@@ -216,9 +213,12 @@ def test_the_key_cache_holds_no_secret_of_a_dealing(big_group, fresh_peer_keys, 
 
 
 def test_a_key_is_checked_once_per_process(big_group, fresh_peer_keys, monkeypatch):
-    """The first dealing to a key pays one membership power for it; later ones pay none."""
+    """A member key, from `keygen` or a parse, pays no membership power at a dealing; a plain
+    element that no check has seen pays one at each dealing to it."""
     rng = random.Random(0xC4EC)
-    directory = _directory(big_group, [keygen(big_group, rng).y for _ in range(4)])
+    keys = [keygen(big_group, rng).y for _ in range(4)]
+    plain = GroupElement(keys[-1].value, big_group)
+    directory = _directory(big_group, keys[:-1] + [plain])
     checks = Counter()
     original = SchnorrGroup.element
 
@@ -229,7 +229,7 @@ def test_a_key_is_checked_once_per_process(big_group, fresh_peer_keys, monkeypat
     monkeypatch.setattr(SchnorrGroup, "element", counting_element)
     for _ in range(3):
         assert _deal(big_group, directory, [5, 6], 7) == _masks(big_group, directory, [5, 6], 7)
-    assert checks == {member.y.value: 1 for member in directory.members}
+    assert checks == {plain.value: 3}
 
 
 def test_dealings_in_threads_hold_their_own_keys(big_group):

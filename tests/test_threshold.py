@@ -37,6 +37,7 @@ from dirsig.threshold import (
 from dirsig.threshold_crypto import encrypt_to_group
 
 from conftest import MSG
+from test_directed import order_three
 
 TOY_SUBGROUP = sorted(pow(3, i, 23) for i in range(11))
 
@@ -538,3 +539,24 @@ def test_plain_int_ids_are_a_type_error(toy_group, toy_keys, toy_directory, fixt
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+def test_a_small_subgroup_query_on_a_threshold_w_is_refused(big_group):
+    """As `test_a_small_subgroup_query_is_refused` for a member's `recover_share`: a w that
+    carries z of order 3, with the member's masked share divided by z^t, is refused for
+    every t instead of unmasking a share that tells whether the member's x is t mod 3."""
+    group, rng = big_group, random.Random(0x3D3)
+    members = [keygen(group, rng) for _ in range(3)]
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=group.scalar(u), y=kp.y) for u, kp in enumerate(members, start=1)
+    ))
+    sig = sign_for_group(group, keygen(group, rng), directory, 2, MSG, rng)
+    z = order_three(group)
+    u = group.scalar(1)
+    for t in range(3):
+        first = MaskedShare(u=u, v=sig.masked_shares[0].v * (z ** -t).value % group.p)
+        queried = dataclasses.replace(
+            sig, w=sig.w * z, masked_shares=(first,) + sig.masked_shares[1:]
+        )
+        with pytest.raises(NotInSubgroupError):
+            recover_share(group, queried, members[0], u)
