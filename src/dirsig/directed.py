@@ -25,20 +25,21 @@ def respond(
     return k1 + signer.x * h.hash_to_scalar(commitment, m)
 
 
+def _member(e: GroupElement) -> Member:
+    """e as a `Member`: one membership power for a plain element, none for a member."""
+    return e if isinstance(e, Member) else e.group.element(e.value)
+
+
 def check_response(
     group: SchnorrGroup, s: Scalar, r: GroupElement, y: GroupElement, m: bytes, h: HashFunction
 ) -> Tuple[bool, Scalar]:
     """Accept iff g^s = R * y^h(R, m) for a rebuilt commitment R = `r`; also return h(R, m).
 
-    s is public, so g^s may take variable time; h(R, m) gives R away, so y^h may not.
+    s is public, so g^s may take variable time; h(R, m) gives R away, so y^h is a secret power,
+    of a member y as `unmask`'s w^x is: a plain y pays one membership power, or raises.
     """
     r_hash = h.hash_to_scalar(r, m)
-    return group.generator ** PublicScalar(s.value, s.group) == r * y ** r_hash, r_hash
-
-
-def _member(e: GroupElement) -> Member:
-    """e as a `Member`: one membership power for a plain element, none for a member."""
-    return e if isinstance(e, Member) else e.group.element(e.value)
+    return group.generator ** PublicScalar(s.value, s.group) == r * _member(y) ** r_hash, r_hash
 
 
 def mask(value: int, y: GroupElement, k: Scalar) -> int:
@@ -122,7 +123,7 @@ def sign_directed(
     k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
     commitment = group.generator ** k1
     w = group.generator ** -k2
-    v = GroupElement(mask(commitment.value, receiver_pub, k2), group)
+    v = type(commitment)(mask(commitment.value, receiver_pub, k2), group)
     s = respond(k1, signer, commitment, message, h)
     sig = DirectedSignature(s=s, w=w, v=v, message=message)
     return sig, SignerNonceState(k1=k1, k2=k2, signature=sig)
@@ -142,7 +143,7 @@ def verify_directed(
     collision behaviour). The recovered commitment is returned so the
     receiver can later prove validity to a third party.
     """
-    r_elem = GroupElement(unmask(sig.v.value, sig.w, receiver.x), group)
+    r_elem = type(sig.v)(unmask(sig.v.value, sig.w, receiver.x), group)
     accept, r_hash = check_response(group, sig.s, r_elem, signer_pub, sig.message, h)
     return accept, RecoveredCommitment(r_elem=r_elem, r_hash=r_hash)
 
@@ -156,8 +157,8 @@ def prove_by_signer(
 
     The third party keeps the original w; only v is substituted.
     """
-    commitment = group.generator ** nonces.k1
-    return SignerProof(v_c=GroupElement(mask(commitment.value, third_party_pub, nonces.k2), group))
+    r_elem = group.generator ** nonces.k1
+    return SignerProof(v_c=type(r_elem)(mask(r_elem.value, third_party_pub, nonces.k2), group))
 
 
 def prove_by_receiver(
@@ -179,7 +180,7 @@ def prove_by_receiver(
     del receiver  # prover role only; R is already unmasked
     k = _nonce(group, rng, nonce)
     w_c = group.generator ** -k
-    v_c = GroupElement(mask(commitment.r_elem.value, third_party_pub, k), group)
+    v_c = type(commitment.r_elem)(mask(commitment.r_elem.value, third_party_pub, k), group)
     return ReceiverProof(w_c=w_c, v_c=v_c)
 
 

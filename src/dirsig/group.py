@@ -8,10 +8,10 @@ Arithmetic is best-effort only with respect to timing side channels: every
 exponentiation modulo a p of 512 bits or more is one call to OpenSSL's
 Montgomery code, and `GroupElement.__pow__` picks the call from the exponent's type.
 A secret exponent is raised in constant time, by a DH key load or, for a `HeldScalar`,
-by its key's exchange. Only a q-sized exponent anyone may know (a `PublicScalar` such as a
-response s, or the order q in a membership check) takes the faster, variable-time DSA
-key load. Toy groups (builtin pow) and all other big-integer operations do not
-attempt constant time.
+by its key's exchange; a `Member`'s is first padded to one count of words (`_pad`). Only a
+q-sized exponent anyone may know (a `PublicScalar` such as a response s, or the order q in
+a membership check) takes the faster, variable-time DSA key load. Toy groups (builtin pow)
+and all other big-integer operations do not attempt constant time.
 """
 
 from __future__ import annotations
@@ -312,12 +312,21 @@ class HeldScalar(Scalar):
     key: Any = field(repr=False, compare=False)
 
 
+def _pad(e: int, group: SchnorrGroup) -> int:
+    """e mod q, plus q in the kernel, or 2q where len(q) % 64 == 0 and e + q kept len(q): then any
+    e has ceil((len(q)+1)/64) words, as OpenSSL's DSA nonces do. For a base of order q or 1 only."""
+    q, e = group.q, e % group.q
+    if _in_kernel(group.p):
+        e += q if q.bit_length() % 64 or (e + q).bit_length() > q.bit_length() else 2 * q
+    return e
+
+
 def _held(k: Scalar) -> Scalar:
-    """k with its key, or k itself outside the kernel, for k = 0 or where it is refused."""
+    """k with its key of `_pad(k)`, or k itself outside the kernel, for k = 0 or where refused."""
     group = k.group
     if _in_kernel(group.p) and k.value:
         try:
-            return HeldScalar(k.value, group, _private_key(group.p, group.g, k.value))
+            return HeldScalar(k.value, group, _private_key(group.p, group.g, _pad(k.value, group)))
         except (ValueError, UnsupportedAlgorithm):
             pass
     return k
@@ -351,7 +360,7 @@ class GroupElement:
 
     def __pow__(self, exponent: Union[Scalar, int]) -> "GroupElement":
         """self^exponent: by its key's exchange for a `HeldScalar` and a `Member` base, the
-        variable-time DSA load for a `PublicScalar`, and the constant-time DH load otherwise."""
+        variable-time DSA load for a `PublicScalar`, else the DH load, of `_pad(e)` for a member."""
         group = self.group
         public = isinstance(exponent, PublicScalar)
         if isinstance(exponent, Scalar):
@@ -364,8 +373,8 @@ class GroupElement:
                 except (ValueError, UnsupportedAlgorithm):  # as where a key load is refused
                     pass
             exponent = exponent.value
-        if isinstance(self, Member):  # of order q or 1, so any exponent may be reduced
-            exponent %= group.q
+        if isinstance(self, Member):  # of order q or 1, so any exponent may be reduced or padded
+            exponent = exponent % group.q if public else _pad(exponent, group)
         return type(self)(_modexp(self.value, exponent, group.p, public), group)
 
     def __int__(self) -> int:

@@ -573,12 +573,12 @@ def test_every_run_draws_a_fresh_key_and_fresh_nonces(tmp_path, big_group):
     (tests/test_directed.py::test_a_reused_nonce_gives_the_receiver_the_signers_key)."""
     group_file = tmp_path / "group.json"
     serialize.save_json(group_file, serialize.group_to_dict(big_group))
-    common = ("--group", group_file, "--keystore", tmp_path)
     keys = []
-    for _ in range(2):
-        assert run("keygen", "alice", *common) == 0
-        keys.append((tmp_path / "alice.key").read_bytes())
+    for store in (tmp_path / "ks1", tmp_path / "ks2"):  # keygen refuses to replace a key
+        assert run("keygen", "alice", "--group", group_file, "--keystore", store) == 0
+        keys.append((store / "alice.key").read_bytes())
     assert keys[0] != keys[1]
+    common = ("--group", group_file, "--keystore", tmp_path / "ks1")
     assert run("keygen", "bob", *common) == 0
     message = tmp_path / "m.bin"
     message.write_bytes(MSG)
@@ -590,6 +590,23 @@ def test_every_run_draws_a_fresh_key_and_fresh_nonces(tmp_path, big_group):
         ) == 0
         sigs.append(json.loads(out.read_text()))
     assert sigs[0]["w"] != sigs[1]["w"] and sigs[0]["v"] != sigs[1]["v"]
+
+
+@pytest.mark.parametrize("existing", ["alice.key", "alice.pub"])
+def test_keygen_refuses_to_replace_a_key(tmp_path, big_group, capsys, existing):
+    """A replaced key loses every signature and ciphertext made for it: a second keygen of
+    one name exits 3 and writes nothing, whichever of NAME.key and NAME.pub is left."""
+    group_file = tmp_path / "group.json"
+    serialize.save_json(group_file, serialize.group_to_dict(big_group))
+    common = ("--group", group_file, "--keystore", tmp_path)
+    assert run("keygen", "alice", *common) == 0
+    for name in {"alice.key", "alice.pub"} - {existing}:
+        (tmp_path / name).unlink()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run("keygen", "alice", *common) == 3
+    assert capsys.readouterr().err.startswith("error: keystore-error: ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def _readme_cli_blocks():
@@ -842,8 +859,8 @@ def test_secret_files_are_0600_from_their_first_byte(
         "erin.pub", "sig.json", "proof.json", "partial.json", "group2.json", "tsig.json",
     )}
     secret = ("erin.key", "sig.json.nonces", "commit.json", "share.json", "shadow.json")
-    if existing:
-        for path in f.values():
+    if existing:  # but for erin's key files: keygen refuses to replace a key
+        for path in (path for name, path in f.items() if not name.startswith("erin.")):
             path.write_text("stale secret\n")
             os.chmod(path, 0o644)
     common = ("--group", group_file, "--keystore", tmp_path)

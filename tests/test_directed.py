@@ -418,3 +418,22 @@ def test_a_small_subgroup_query_is_refused(big_group, path):
                 v_c = GroupElement(proof.v_c.value * (z ** -t).value % group.p, group)
                 queried = ReceiverProof(w_c=proof.w_c * z, v_c=v_c)
                 verify_as_third_party(group, sig, queried, third, signer.y)
+
+
+def test_a_signer_key_outside_the_subgroup_is_refused(big_group):
+    """Lim and Lee on the signer's key: under y*z with z of order 3, R * (y*z)^h equals
+    R * y^h exactly when h = 0 mod 3, so a library verdict on an honest signature would tell
+    h mod 3 and accept a third of them. `check_response` raises only a member y, so every
+    signature is refused, whatever its h."""
+    group, rng = big_group, random.Random(0x5123)
+    signer, receiver = keygen(group, rng), keygen(group, rng)
+    outside = signer.y * order_three(group)
+    residues = set()
+    for _ in range(12):
+        sig, _ = sign_directed(group, signer, receiver.y, MSG, rng)
+        accept, commitment = verify_directed(group, sig, receiver, signer.y)
+        assert accept
+        residues.add(commitment.r_hash.value % 3)
+        with pytest.raises(NotInSubgroupError):
+            verify_directed(group, sig, receiver, outside)
+    assert 0 in residues  # a signature the unchecked key would have accepted

@@ -200,7 +200,7 @@ def test_the_key_cache_holds_no_secret_of_a_dealing(big_group, fresh_peer_keys, 
     k2 = rng.randrange(1, big_group.q)
     loaded = _recorded_loads(monkeypatch)
     _deal(big_group, directory, [11, 12, 13], k2)
-    (held,) = [key for key in loaded if key.private_numbers().x == k2]
+    (held,) = [key for key in loaded if key.private_numbers().x == k2 + big_group.q]  # padded
     assert sys.getrefcount(held) == 3  # `loaded`, `held` and the argument of getrefcount
     assert _peer_key.cache_info().currsize == n
     hits = _peer_key.cache_info().hits
@@ -283,9 +283,10 @@ def test_only_a_held_exponent_takes_the_exchange(big_group, fresh_peer_keys, mon
         (key.parameters().parameter_numbers().g, key.private_numbers().x)
         for key in loaded if isinstance(key, dh.DHPrivateKey)
     ]
-    g, signer = group.g, keygen(group, random.Random(1)).x.value  # `_deal`'s signer
-    assert dh_loads == [(g, signer), (g, group.q - k2), (g, k1), (g, k2)] + [
-        (member.y.value, k2) for member in directory.members
+    g, q, signer = group.g, group.q, keygen(group, random.Random(1)).x.value  # `_deal`'s signer
+    # every base is a member, so every exponent reaches the load padded by q (`group._pad`)
+    assert dh_loads == [(g, signer + q), (g, 2 * q - k2), (g, k1 + q), (g, k2 + q)] + [
+        (member.y.value, k2 + q) for member in directory.members
     ]
 
 

@@ -8,7 +8,8 @@ the loader, and the inputs it does take must really reach it, so that a
 silent fallback to the slow path, or a cache in front of the kernel, fails
 here. A power whose exponent is public takes a second framing of the same
 kernel, a DSA key, whose cost follows the exponent's bits; no secret exponent
-may reach it.
+may reach it. Every secret power raises a member, and reaches the DH framing
+padded to one count of 64-bit words.
 """
 
 import random
@@ -20,17 +21,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirsig.group
-from dirsig.directed import prove_by_signer, sign_directed, verify_as_third_party, verify_directed
+from dirsig.directed import (
+    prove_by_receiver, prove_by_signer, sign_directed, verify_as_third_party, verify_directed,
+)
 from dirsig.group import (
     _DH_OID,
     GroupElement,
+    KeyPair,
+    Member,
+    PublicScalar,
     SchnorrGroup,
     _der,
     _der_int,
     _modexp,
+    generate_group,
     is_probable_prime,
     keygen,
 )
+from dirsig.schnorr import schnorr_sign, schnorr_verify
 from dirsig.threshold import (
     GroupDirectory,
     GroupMember,
@@ -40,6 +48,7 @@ from dirsig.threshold import (
     recover_share,
     sign_for_group,
 )
+from dirsig.threshold_crypto import decrypt_with_quorum, encrypt_to_group
 
 from conftest import CARMICHAEL_512, CHERNICK_K, MSG
 
@@ -229,11 +238,12 @@ def kernels(monkeypatch):
 
 def test_only_public_exponents_take_the_variable_time_kernel(big_group, kernels):
     """The response s and the order q of a membership or order check take the DSA framing;
-    keys, nonces, shadows and h(R, m), which gives R away, never do."""
+    keys, nonces, shadows and h(R, m), which gives R away, never do. Each of those raises a
+    member, so it reaches the DH load padded to e + q (a 160-bit q needs no second q)."""
     group, q = big_group, big_group.q
     rng = random.Random(0x5AFE)
     signer, receiver, third = (keygen(group, rng) for _ in range(3))
-    assert kernels == [("dh", kp.x.value) for kp in (signer, receiver, third)]
+    assert kernels == [("dh", kp.x.value + q) for kp in (signer, receiver, third)]
 
     def step(fn, *args, **kwargs):
         kernels.clear()
@@ -241,13 +251,14 @@ def test_only_public_exponents_take_the_variable_time_kernel(big_group, kernels)
 
     k1, k2 = rng.randrange(1, q), rng.randrange(1, q)
     sig, nonces = step(sign_directed, group, signer, receiver.y, MSG, nonces=(k1, k2))
-    assert kernels == [("dh", k1), ("dh", q - k2), ("dh", k2)]  # keygen's keys are members
+    # keygen's keys are members
+    assert kernels == [("dh", k1 + q), ("dh", 2 * q - k2), ("dh", k2 + q)]
     accept, commitment = step(verify_directed, group, sig, receiver, signer.y)
     assert accept
     r_hash = commitment.r_hash.value
-    assert kernels == [("dh", receiver.x.value), ("dsa", sig.s.value), ("dh", r_hash)]
+    assert kernels == [("dh", receiver.x.value + q), ("dsa", sig.s.value), ("dh", r_hash + q)]
     proof = step(prove_by_signer, group, nonces, third.y)
-    assert kernels == [("dh", k1), ("dh", k2)]
+    assert kernels == [("dh", k1 + q), ("dh", k2 + q)]
     assert step(verify_as_third_party, group, sig, proof, third, signer.y)
     assert [kind for kind, _ in kernels] == ["dh", "dsa", "dh"]
     step(group.element, signer.y.value)
@@ -260,7 +271,7 @@ def test_only_public_exponents_take_the_variable_time_kernel(big_group, kernels)
         GroupMember(u=group.scalar(1), y=receiver.y), GroupMember(u=group.scalar(2), y=third.y),
     ))
     tsig = step(sign_for_group, group, signer, directory, 2, MSG, nonces=(k1, k2))
-    assert kernels == [("dh", q - k2), ("dh", k1), ("dh", k2)]  # the last is the held key
+    assert kernels == [("dh", 2 * q - k2), ("dh", k1 + q), ("dh", k2 + q)]  # the last is held
     ids = [m.u for m in directory.members]
     kernels.clear()
     partials = [
@@ -270,3 +281,104 @@ def test_only_public_exponents_take_the_variable_time_kernel(big_group, kernels)
     assert [kind for kind, _ in kernels] == ["dh"] * 4
     assert step(combine_and_verify, group, tsig, partials, signer.y)
     assert [(kind, e == tsig.s.value) for kind, e in kernels] == [("dsa", True), ("dh", False)]
+
+
+def _every_flow(group, below):
+    """Run every library flow once, with each key, nonce and share coefficient drawn from
+    [1, below): Schnorr, directed sign, verify and both proofs, and a 2-of-2 dealing, its
+    member steps and combine, as a signature and as a ciphertext. Returns the directed
+    flow's v, R and both proofs' v_c."""
+    rng = random.Random(0x5107)
+
+    def draw():
+        return rng.randrange(1, below)
+
+    signer, receiver, third, *members = (KeyPair.from_private(group, draw()) for _ in range(5))
+    assert schnorr_verify(group, signer.y, MSG, schnorr_sign(group, signer, MSG, nonce=draw()))
+    sig, nonces = sign_directed(group, signer, receiver.y, MSG, nonces=(draw(), draw()))
+    accept, commitment = verify_directed(group, sig, receiver, signer.y)
+    assert accept
+    proofs = (
+        prove_by_signer(group, nonces, third.y),
+        prove_by_receiver(group, commitment, receiver, third.y, nonce=draw()),
+    )
+    assert all(verify_as_third_party(group, sig, proof, third, signer.y) for proof in proofs)
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=group.scalar(u), y=kp.y) for u, kp in enumerate(members, start=1)
+    ))
+    quorum = [(kp, m.u) for kp, m in zip(members, directory.members)]
+    ids = [u for _, u in quorum]
+    k1, k2 = draw(), draw()
+    tsig = sign_for_group(group, signer, directory, 2, MSG, nonces=(k1, k2),
+                          polynomial=(k1, draw()))
+    partials = [
+        partial_result(group, modify_shadow(recover_share(group, tsig, kp, u), ids))
+        for kp, u in quorum
+    ]
+    assert combine_and_verify(group, tsig, partials, signer.y)
+    ct = encrypt_to_group(group, signer, directory, 2, MSG, rng, nonces=(k1, k2),
+                          polynomial=(k1, draw()))
+    assert decrypt_with_quorum(group, ct, quorum, signer.y) == MSG
+    return sig.v, commitment.r_elem, *(proof.v_c for proof in proofs)
+
+
+def test_every_secret_power_raises_a_member(big_group, monkeypatch):
+    """`_pad` is sound only for a base of order q, so in every library flow each power whose
+    exponent is not a `PublicScalar` must raise a `Member`, and the directed flow's v, R and
+    v_c must come back as members, with no plain element made along the way."""
+    bases = []
+    original = GroupElement.__pow__
+
+    def recording_pow(self, exponent):
+        if not isinstance(exponent, PublicScalar):
+            bases.append(type(self))
+        return original(self, exponent)
+
+    monkeypatch.setattr(GroupElement, "__pow__", recording_pow)
+    returned = _every_flow(big_group, big_group.q)
+    # 35 powers on a DH load and the 4 masks of two dealings, by their held keys' exchange
+    assert len(bases) == 39 and set(bases) == {Member}
+    assert [type(element) for element in returned] == [Member] * 4
+
+
+@pytest.mark.parametrize("size", ["512/160", "2048/224"])
+def test_every_secret_exponent_reaches_the_loader_at_one_word_count(
+    big_group, group_2048, kernels, size
+):
+    """Keys, nonces and coefficients one 64-bit word short of q would each load in fewer
+    words, and so in less time (the nonce-length leak of Minerva, TCHES 2020). Every DH
+    load of the flows, the held key of each dealing among them, takes ceil((len(q)+1)/64)
+    words; only the DSA loads of public exponents keep their own length."""
+    group = big_group if size == "512/160" else group_2048
+    words = -(-(group.q.bit_length() + 1) // 64)
+    _every_flow(group, 1 << 64 * (words - 1))
+    dh = [e for kind, e in kernels if kind == "dh"]
+    assert len(dh) == 37  # 35 powers and two dealings' held keys
+    assert {-(-e.bit_length() // 64) for e in dh} == {words}
+
+
+def test_a_q_of_whole_words_is_padded_by_q_twice_where_once_keeps_its_length(kernels):
+    """With len(q) = 128, e + q may keep 128 bits; then `_pad` adds q again, so that every
+    exponent of a member reaches the DH load with 129 bits, 3 words, and b^e is unchanged."""
+    group = generate_group(512, 128, random.Random(128))
+    q = group.q
+    member = group.generator ** 5
+    kernels.clear()
+    exponents = (0, 1, 2, (1 << 64) - 1, (1 << 127) - q // 2, q - 1, q, q + 1, 1 << 200)
+    for e in exponents:
+        assert (member ** e).value == pow(member.value, e, group.p)
+    added = [x - e % q for (_, x), e in zip(kernels, exponents)]
+    assert added == [q if (e % q + q).bit_length() > 128 else 2 * q for e in exponents]
+    assert set(added) == {q, 2 * q}
+    assert {(kind, x.bit_length()) for kind, x in kernels} == {("dh", 129)}
+
+
+def test_toy_groups_and_plain_bases_are_not_padded(toy_group, big_group, kernels):
+    """Padding is for OpenSSL's word count: builtin pow (a toy group) gets e mod q, and a
+    plain element, which may lie outside the subgroup, gets e as it is."""
+    assert (toy_group.generator ** 25).value == pow(3, 25 % 11, 23)
+    assert not kernels
+    plain = GroupElement(big_group.g, big_group)
+    e = big_group.q - 2
+    assert (plain ** e).value == pow(big_group.g, e, big_group.p)
+    assert kernels == [("dh", e)]

@@ -560,3 +560,23 @@ def test_a_small_subgroup_query_on_a_threshold_w_is_refused(big_group):
         )
         with pytest.raises(NotInSubgroupError):
             recover_share(group, queried, members[0], u)
+
+
+def test_a_signer_key_outside_the_subgroup_stops_the_combiner(big_group):
+    """As `test_a_signer_key_outside_the_subgroup_is_refused` for `combine_and_verify`: under
+    y*z with z of order 3, the combiner raises instead of accepting each h = 0 mod 3."""
+    group, rng = big_group, random.Random(0x5124)
+    signer, members = keygen(group, rng), [keygen(group, rng) for _ in range(2)]
+    directory = GroupDirectory(members=tuple(
+        GroupMember(u=group.scalar(u), y=kp.y) for u, kp in enumerate(members, start=1)
+    ))
+    outside = signer.y * order_three(group)
+    residues = set()
+    for _ in range(12):
+        sig = sign_for_group(group, signer, directory, 2, MSG, rng)
+        partials = _run_quorum(group, sig, dict(enumerate(members, start=1)), (1, 2))
+        assert combine_and_verify(group, sig, partials, signer.y)
+        residues.add(Sha256Hash().hash_to_scalar(_product(partials), MSG).value % 3)
+        with pytest.raises(NotInSubgroupError):
+            combine_and_verify(group, sig, partials, outside)
+    assert 0 in residues  # a signature the unchecked key would have accepted
