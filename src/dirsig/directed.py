@@ -123,7 +123,7 @@ def sign_directed(
     k1, k2 = (_nonce(group, rng, n) for n in nonces or (None, None))
     commitment = group.generator ** k1
     w = group.generator ** -k2
-    v = type(commitment)(mask(commitment.value, receiver_pub, k2), group)
+    v = Member(mask(commitment.value, receiver_pub, k2), group)
     s = respond(k1, signer, commitment, message, h)
     sig = DirectedSignature(s=s, w=w, v=v, message=message)
     return sig, SignerNonceState(k1=k1, k2=k2, signature=sig)
@@ -157,8 +157,8 @@ def prove_by_signer(
 
     The third party keeps the original w; only v is substituted.
     """
-    r_elem = group.generator ** nonces.k1
-    return SignerProof(v_c=type(r_elem)(mask(r_elem.value, third_party_pub, nonces.k2), group))
+    commitment = group.generator ** nonces.k1
+    return SignerProof(v_c=Member(mask(commitment.value, third_party_pub, nonces.k2), group))
 
 
 def prove_by_receiver(

@@ -313,11 +313,11 @@ class HeldScalar(Scalar):
 
 
 def _pad(e: int, group: SchnorrGroup) -> int:
-    """e mod q, plus q in the kernel, or 2q where len(q) % 64 == 0 and e + q kept len(q): then any
-    e has ceil((len(q)+1)/64) words, as OpenSSL's DSA nonces do. For a base of order q or 1 only."""
+    """e mod q, plus q in the kernel, or 2q where len(q) % 64 == 0 (an addend of q alone): any
+    e then has ceil((len(q)+1)/64) words, as OpenSSL's DSA nonces do. For a base of order q or 1."""
     q, e = group.q, e % group.q
     if _in_kernel(group.p):
-        e += q if q.bit_length() % 64 or (e + q).bit_length() > q.bit_length() else 2 * q
+        e += 2 * q if q.bit_length() % 64 == 0 else q
     return e
 
 

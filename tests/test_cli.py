@@ -859,11 +859,17 @@ def test_secret_files_are_0600_from_their_first_byte(
         "erin.pub", "sig.json", "proof.json", "partial.json", "group2.json", "tsig.json",
     )}
     secret = ("erin.key", "sig.json.nonces", "commit.json", "share.json", "shadow.json")
-    if existing:  # but for erin's key files: keygen refuses to replace a key
-        for path in (path for name, path in f.items() if not name.startswith("erin.")):
+    if existing:
+        for path in f.values():
             path.write_text("stale secret\n")
             os.chmod(path, 0o644)
     common = ("--group", group_file, "--keystore", tmp_path)
+    if existing:  # keygen refuses to replace a key: erin's stale files stay as they were
+        assert run("keygen", "erin", *common) == 3
+        for name in ("erin.key", "erin.pub"):
+            assert f[name].read_text() == "stale secret\n"
+            assert stat.S_IMODE(f[name].stat().st_mode) == 0o644
+            f[name].unlink()
     assert run("keygen", "erin", *common) == 0
     assert run("paramgen", "--p-bits", 64, "--q-bits", 32, "--out", f["group2.json"]) == 0
     assert run(

@@ -357,20 +357,20 @@ def test_every_secret_exponent_reaches_the_loader_at_one_word_count(
     assert {-(-e.bit_length() // 64) for e in dh} == {words}
 
 
-def test_a_q_of_whole_words_is_padded_by_q_twice_where_once_keeps_its_length(kernels):
-    """With len(q) = 128, e + q may keep 128 bits; then `_pad` adds q again, so that every
-    exponent of a member reaches the DH load with 129 bits, 3 words, and b^e is unchanged."""
+def test_a_q_of_whole_words_is_padded_by_q_twice(kernels):
+    """With len(q) = 128, e + q may keep 128 bits, so `_pad` adds 2q to every exponent: the
+    addend is chosen from q alone, never from e; every exponent of a member, in [2q, 3q),
+    reaches the DH load with 3 words, and b^e is unchanged."""
     group = generate_group(512, 128, random.Random(128))
     q = group.q
     member = group.generator ** 5
     kernels.clear()
     exponents = (0, 1, 2, (1 << 64) - 1, (1 << 127) - q // 2, q - 1, q, q + 1, 1 << 200)
+    assert any((e % q + q).bit_length() == 128 for e in exponents)  # q alone would not do
     for e in exponents:
         assert (member ** e).value == pow(member.value, e, group.p)
-    added = [x - e % q for (_, x), e in zip(kernels, exponents)]
-    assert added == [q if (e % q + q).bit_length() > 128 else 2 * q for e in exponents]
-    assert set(added) == {q, 2 * q}
-    assert {(kind, x.bit_length()) for kind, x in kernels} == {("dh", 129)}
+    assert [x - e % q for (_, x), e in zip(kernels, exponents)] == [2 * q] * len(exponents)
+    assert {(kind, -(-x.bit_length() // 64)) for kind, x in kernels} == {("dh", 3)}
 
 
 def test_toy_groups_and_plain_bases_are_not_padded(toy_group, big_group, kernels):

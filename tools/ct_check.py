@@ -16,7 +16,7 @@ A |t| above 4.5 reads as a leak.
 The timings share the machine with everything else on it, so read a row against its
 control, not alone. Uses the standard library only. From the repository root:
 
-    PYTHONPATH=src python tools/ct_check.py [--calls N] [--group FILE]
+    PYTHONPATH=src python tools/ct_check.py [--group FILE]
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dirsig.group import _modexp
 from dirsig.serialize import group_from_dict
 
 THRESHOLD = 4.5  # dudect's bound on |t|
+CALLS = 8000  # timed calls a row
 WARMUP = 1000  # untimed calls a row makes first: a cold process runs its first powers slower
 CROP = 0.9  # the pooled percentile above which a call is cropped as the slow tail
 
@@ -42,11 +43,11 @@ def welch_t(a: list, b: list) -> float:
     return (statistics.fmean(a) - statistics.fmean(b)) / spread
 
 
-def measure(power, classes, calls: int, rng: random.Random) -> tuple:
-    """Nanoseconds of power(e), one list per class, for `calls` exponents whose class is
+def measure(power, classes, rng: random.Random) -> tuple:
+    """Nanoseconds of power(e), one list per class, for CALLS exponents whose class is
     drawn at random per call; each exponent is drawn before its clock starts."""
     times = ([], [])
-    for n in range(WARMUP + calls):
+    for n in range(WARMUP + CALLS):
         which = rng.getrandbits(1)
         e = classes[which]()
         start = time.perf_counter_ns()
@@ -66,7 +67,6 @@ def cropped_t(times: tuple, percentile: float) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--calls", type=int, default=8000, help="timed calls per row")
     parser.add_argument("--group", default="bench/data/group_512_160.json")
     args = parser.parse_args(argv)
     with open(args.group) as fh:
@@ -90,10 +90,10 @@ def main(argv=None) -> int:
         ("unpadded", lambda e: _modexp(g, e, p), (uniform, short), ""),
         ("control", lambda e: _modexp(g, e, p, public=True), (uniform, two_bits), "> "),
     )
-    print(f"{p.bit_length()}/{q.bit_length()}, {args.calls} calls a row, "
+    print(f"{p.bit_length()}/{q.bit_length()}, {CALLS} calls a row, "
           f"cropped at the pooled {CROP:.0%} point; short exponents have {short_bits} bits")
     for name, power, classes, expect in rows:
-        times = measure(power, classes, args.calls, rng)
+        times = measure(power, classes, rng)
         t = cropped_t(times, CROP)
         medians = "  ".join(f"{statistics.median(side) / 1e3:6.1f} us" for side in times)
         verdict = f"  expect |t| {expect}{THRESHOLD}" if expect else ""
