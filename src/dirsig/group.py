@@ -209,8 +209,9 @@ class SchnorrGroup:
     """Public parameters (p, q, g) of a prime-order subgroup of Z_p*.
 
     Construction validates every invariant, so any held instance is safe
-    to compute in. No minimum bit sizes are enforced here; tiny groups are
-    legitimate for testing.
+    to compute in. Distinct error types identify the first failed invariant:
+    composite p, composite q, q not dividing p - 1, or a bad generator. No
+    minimum bit sizes are enforced here; tiny groups are legitimate for testing.
     """
 
     p: int
@@ -244,13 +245,7 @@ class SchnorrGroup:
         return Scalar(rng.randrange(1 if nonzero else 0, self.q), self)
 
 
-def validate_group(p: int, q: int, g: int) -> SchnorrGroup:
-    """Build a group from externally supplied parameters, or raise.
-
-    Distinct error types identify the first failed invariant: composite p,
-    composite q, q not dividing p - 1, or a bad generator.
-    """
-    return SchnorrGroup(p, q, g)
+validate_group = SchnorrGroup  # the name for building a group from untrusted parameters
 
 
 @dataclass(frozen=True)
@@ -373,8 +368,8 @@ class GroupElement:
                 except (ValueError, UnsupportedAlgorithm):  # as where a key load is refused
                     pass
             exponent = exponent.value
-        if isinstance(self, Member):  # of order q or 1, so any exponent may be reduced or padded
-            exponent = exponent % group.q if public else _pad(exponent, group)
+        if isinstance(self, Member) and not public:  # of order q or 1, so e may be padded
+            exponent = _pad(exponent, group)
         return type(self)(_modexp(self.value, exponent, group.p, public), group)
 
     def __int__(self) -> int:

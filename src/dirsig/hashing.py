@@ -1,10 +1,9 @@
-"""Hash functions mapping (group element, message) pairs into scalars or keys.
+"""SHA-256 hashing of (group element, message) pairs into scalars or keys.
 
-Every scheme in this toolkit consumes hashes through the `HashFunction`
-interface, so the production SHA-256 instantiation and the table-driven
-fixture used for known-answer tests are interchangeable without touching
-protocol code. SHA-256 comes from the OpenSSL that `cryptography` bundles
-for the group kernel and the AEAD; `hashlib` would load a second copy.
+`Sha256Hash` is the one hash the schemes take; `FixtureHash`, a table-driven
+subclass, replays known-answer tests without touching protocol code. SHA-256
+comes from the OpenSSL that `cryptography` bundles for the group kernel and the
+AEAD; `hashlib` would load a second copy.
 """
 
 from __future__ import annotations
@@ -37,15 +36,25 @@ def canonical_encode(element: GroupElement) -> bytes:
     return element.value.to_bytes(width, "big")
 
 
-class HashFunction:
-    """Deterministic map (element, message) -> scalar, plus key derivation."""
+class Sha256Hash:
+    """Deterministic map (element, message) -> scalar, plus key derivation: SHA-256 over
+    tag || canonical-encode(element) || message, reduced mod q.
+
+    The tag (empty unless `tagged`) precedes the fixed-width element: after
+    it, an untagged hash of tag || message would collide with it.
+    """
+
+    tag = b""
+
+    def tagged(self, tag: bytes) -> "Sha256Hash":
+        """This hash with `tag` in front of every input, apart from its untagged uses."""
+        twin = copy.copy(self)  # a fixture's copy shares its table
+        twin.tag = bytes(tag)
+        return twin
 
     def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
-        raise NotImplementedError
-
-    def tagged(self, tag: bytes) -> "HashFunction":
-        """This hash with `tag` in front of every input, apart from its untagged uses."""
-        raise NotImplementedError
+        digest = _sha256(self.tag + canonical_encode(element) + bytes(message))
+        return element.group.scalar(int.from_bytes(digest, "big"))
 
     def hash_to_key(self, element: GroupElement) -> bytes:
         """Derive a 32-byte symmetric key from a group element.
@@ -55,24 +64,7 @@ class HashFunction:
         return _sha256(canonical_encode(element))
 
 
-class Sha256Hash(HashFunction):
-    """SHA-256 over tag || canonical-encode(element) || message, reduced mod q.
-
-    The tag (empty unless `tagged`) precedes the fixed-width element: after
-    it, an untagged hash of tag || message would collide with it.
-    """
-
-    def __init__(self, tag: bytes = b"") -> None:
-        self.tag = bytes(tag)
-
-    def tagged(self, tag: bytes) -> "Sha256Hash":
-        twin = copy.copy(self)  # a fixture's copy shares its table
-        twin.tag = bytes(tag)
-        return twin
-
-    def hash_to_scalar(self, element: GroupElement, message: bytes) -> Scalar:
-        digest = _sha256(self.tag + canonical_encode(element) + bytes(message))
-        return element.group.scalar(int.from_bytes(digest, "big"))
+HashFunction = Sha256Hash  # the name protocol signatures use for the hash they take
 
 
 class FixtureHash(Sha256Hash):
@@ -91,7 +83,6 @@ class FixtureHash(Sha256Hash):
         *,
         error_on_miss: bool = True,
     ) -> None:
-        super().__init__()
         self.table = {(int(e), bytes(m)): int(s) for (e, m), s in table.items()}
         self.error_on_miss = error_on_miss
 

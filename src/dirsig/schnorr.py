@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .group import GroupElement, KeyPair, Scalar, SchnorrGroup, _nonce
+from .group import GroupElement, KeyPair, PublicScalar, Scalar, SchnorrGroup, _nonce
 from .hashing import DEFAULT_HASH, HashFunction
 
 
@@ -49,6 +49,7 @@ def schnorr_verify(
     sig: SchnorrSignature,
     h: HashFunction = DEFAULT_HASH,
 ) -> bool:
-    """Accept iff r = h(g^s * y^r mod p, m)."""
-    candidate = (group.generator ** sig.s) * (public_key ** sig.r)
+    """Accept iff r = h(g^s * y^r mod p, m); s and r are public, so raised in variable time."""
+    s, r = (PublicScalar(x.value, x.group) for x in (sig.s, sig.r))
+    candidate = (group.generator ** s) * (public_key ** r)
     return h.hash_to_scalar(candidate, message) == sig.r

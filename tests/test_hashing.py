@@ -125,6 +125,20 @@ def test_the_tag_goes_in_front_of_the_element(big_group):
     assert tagged.hash_to_key(element) == _oracle_key(element)  # keys are never tagged
 
 
+def test_tagging_makes_a_copy_and_leaves_the_original_untagged(big_group, fallback_fixture_hash):
+    """`tag` is a class attribute that only `tagged` overrides, on the copy it returns."""
+    element = big_group.generator ** big_group.scalar(99)
+    for h in (DEFAULT_HASH, fallback_fixture_hash):
+        tagged = h.tagged(b"t")
+        assert tagged is not h and type(tagged) is type(h)
+        assert tagged.hash_to_scalar(element, MSG).value == _oracle_scalar(element, MSG, b"t")
+        assert h.tag == b""
+        assert h.hash_to_scalar(element, MSG).value == _oracle_scalar(element, MSG)
+    assert Sha256Hash.tag == b""
+    assert Sha256Hash().hash_to_scalar(element, MSG).value == _oracle_scalar(element, MSG)
+
+
+
 def test_fixture_table_ignores_the_tag_and_its_fallback_keeps_it(toy_group, fallback_fixture_hash):
     tagged = fallback_fixture_hash.tagged(b"t")
     assert tagged.hash_to_scalar(toy_group.element(18), MSG).value == 10

@@ -336,8 +336,8 @@ def test_every_secret_power_raises_a_member(big_group, monkeypatch):
 
     monkeypatch.setattr(GroupElement, "__pow__", recording_pow)
     returned = _every_flow(big_group, big_group.q)
-    # 35 powers on a DH load and the 4 masks of two dealings, by their held keys' exchange
-    assert len(bases) == 39 and set(bases) == {Member}
+    # 33 powers on a DH load and the 4 masks of two dealings, by their held keys' exchange
+    assert len(bases) == 37 and set(bases) == {Member}
     assert [type(element) for element in returned] == [Member] * 4
 
 
@@ -353,8 +353,25 @@ def test_every_secret_exponent_reaches_the_loader_at_one_word_count(
     words = -(-(group.q.bit_length() + 1) // 64)
     _every_flow(group, 1 << 64 * (words - 1))
     dh = [e for kind, e in kernels if kind == "dh"]
-    assert len(dh) == 37  # 35 powers and two dealings' held keys
+    assert len(dh) == 35  # 33 powers and two dealings' held keys
     assert {-(-e.bit_length() // 64) for e in dh} == {words}
+
+
+def test_schnorr_verify_raises_the_signature_as_public_exponents(toy_group, big_group, kernels):
+    """s and r are the signature itself, so g^s and y^r both take the DSA framing, unpadded,
+    for a member key and a plain one alike; each keeps its own group, so a signature made
+    in another group is still refused."""
+    rng = random.Random(0x5C4)
+    signer = keygen(big_group, rng)
+    sig = schnorr_sign(big_group, signer, MSG, rng)
+    for key in (signer.y, GroupElement(signer.y.value, big_group)):
+        kernels.clear()
+        assert schnorr_verify(big_group, key, MSG, sig)
+        assert kernels == [("dsa", sig.s.value), ("dsa", sig.r.value)]
+    toy_sig = schnorr_sign(toy_group, keygen(toy_group, rng), MSG, rng)
+    with pytest.raises(ValueError, match="different group"):
+        schnorr_verify(big_group, signer.y, MSG, toy_sig)
+
 
 
 def test_a_q_of_whole_words_is_padded_by_q_twice(kernels):
