@@ -148,8 +148,6 @@ def cmd_paramgen(args) -> int:
 
 def cmd_keygen(args) -> int:
     store = args.keystore
-    if any(map(os.path.lexists, (store.keypair_path(args.name), store.public_path(args.name)))):
-        raise KeystoreError(f"key {args.name!r} exists; delete its .key and .pub to replace it")
     store.save_keypair(args.name, keygen(args.group))
     print(f"wrote {store.keypair_path(args.name)} and {store.public_path(args.name)}")
     return EXIT_OK

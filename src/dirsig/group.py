@@ -117,9 +117,15 @@ def _parameters(n: int, base: int, public: bool = False) -> bytes:
 
 
 def _private_key(n: int, base: int, e: int, public: bool = False):
-    """Load e as a PKCS#8 key over `_parameters(n, base, public)`, of value base^e mod n."""
+    """e as a PKCS#8 key over `_parameters(n, base, public)`, of value base^e mod n, or None
+    where the kernel does not take n or e, or the loader refuses the key."""
+    if not _in_kernel(n) or e < 0:
+        return None
     der = _der(0x30, _DER_VERSION + _parameters(n, base, public) + _der(0x04, _der_int(e)))
-    return load_der_private_key(der, None)
+    try:
+        return load_der_private_key(der, None)
+    except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
+        return None
 
 
 @lru_cache(maxsize=256)  # public keys only: a few directories' members
@@ -135,12 +141,8 @@ def _peer_key(group: "SchnorrGroup", y: int):
 def _modexp(base: int, e: int, n: int, public: bool = False) -> int:
     """base^e mod n on OpenSSL's kernel where it takes the input, else by builtin pow.
     Only a `public` e may take variable time."""
-    if _in_kernel(n) and e >= 0:
-        try:
-            return _private_key(n, base % n, e, public).private_numbers().public_numbers.y
-        except (ValueError, UnsupportedAlgorithm):  # a backend or policy refused the key
-            pass
-    return pow(base, e, n)
+    key = _private_key(n, base % n, e, public)
+    return pow(base, e, n) if key is None else key.private_numbers().public_numbers.y
 
 
 def is_probable_prime(n: int) -> bool:
@@ -319,12 +321,8 @@ def _pad(e: int, group: SchnorrGroup) -> int:
 def _held(k: Scalar) -> Scalar:
     """k with its key of `_pad(k)`, or k itself outside the kernel, for k = 0 or where refused."""
     group = k.group
-    if _in_kernel(group.p) and k.value:
-        try:
-            return HeldScalar(k.value, group, _private_key(group.p, group.g, _pad(k.value, group)))
-        except (ValueError, UnsupportedAlgorithm):
-            pass
-    return k
+    key = _private_key(group.p, group.g, _pad(k.value, group)) if k.value else None
+    return k if key is None else HeldScalar(k.value, group, key)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ adequate for experiments and tests, not hardened key management.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .group import GroupElement, KeyPair, SchnorrGroup
@@ -35,12 +36,13 @@ class Keystore:
         return self.root / f"{_check_name(name)}.pub"
 
     def save_keypair(self, name: str, keypair: KeyPair) -> None:
-        """Write NAME.key (0600 from its first byte) and the matching NAME.pub."""
+        """Write NAME.key (0600 from its first byte) and NAME.pub, or nothing if either exists."""
+        key_path, pub_path = self.keypair_path(name), self.public_path(name)
+        if os.path.lexists(key_path) or os.path.lexists(pub_path):
+            raise KeystoreError(f"key {name!r} exists; delete its .key and .pub to replace it")
         self.root.mkdir(parents=True, exist_ok=True)
-        serialize.save_json(
-            self.keypair_path(name), serialize.keypair_to_dict(keypair), private=True
-        )
-        serialize.save_json(self.public_path(name), serialize.public_key_to_dict(keypair.y))
+        serialize.save_json(key_path, serialize.keypair_to_dict(keypair), private=True)
+        serialize.save_json(pub_path, serialize.public_key_to_dict(keypair.y))
 
     def load_keypair(self, group: SchnorrGroup, name: str) -> KeyPair:
         return serialize.keypair_from_dict(group, serialize.load_json(self.keypair_path(name)))

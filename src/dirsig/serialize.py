@@ -85,20 +85,6 @@ def hex_to_bytes(text: str) -> bytes:
     return bytes.fromhex(_canonical(_CANONICAL_BYTES, text, "lowercase hex bytes"))
 
 
-def fields(data, keys: tuple) -> list:
-    """The values of `keys` in a JSON object that holds exactly those keys."""
-    if not isinstance(data, dict) or data.keys() != set(keys):
-        got = _describe(data)
-        raise SerializationError(f"expected exactly the fields {sorted(keys)}, got {got}")
-    return [data[key] for key in keys]
-
-
-def list_field(key: str, value) -> list:
-    if not isinstance(value, list):
-        raise SerializationError(f"field {key!r} must be a list")
-    return value
-
-
 @contextmanager
 def _open_output(path, mode: str = "w", *, private: bool = False):
     """Open `path` for writing from empty, deciding its mode before any byte.
@@ -167,11 +153,11 @@ def _encode_field(kind, value):
 def _decode(table, group: Optional[SchnorrGroup], data):
     """Build the artifact `table` describes from untrusted JSON, or raise."""
     build, rows = table
-    values = fields(data, tuple(key for key, _, _ in rows))
-    kwargs = {
-        attr: _decode_field(group, key, kind, value)
-        for (key, attr, kind), value in zip(rows, values)
-    }
+    keys = {key for key, _, _ in rows}
+    if not isinstance(data, dict) or data.keys() != keys:
+        got = _describe(data)
+        raise SerializationError(f"expected exactly the fields {sorted(keys)}, got {got}")
+    kwargs = {attr: _decode_field(group, key, kind, data[key]) for key, attr, kind in rows}
     try:
         return build(**kwargs)
     except ValueError as exc:
@@ -189,7 +175,9 @@ def _decode_field(group: Optional[SchnorrGroup], key: str, kind, value):
     if kind == BYTES:
         return hex_to_bytes(value)
     if isinstance(kind, list):
-        return tuple(_decode(kind[0], group, item) for item in list_field(key, value))
+        if not isinstance(value, list):
+            raise SerializationError(f"field {key!r} must be a list")
+        return tuple(_decode(kind[0], group, item) for item in value)
     if not isinstance(kind, str):
         return _decode(kind, group, value)
     number = hex_to_int(value)

@@ -94,22 +94,6 @@ def _check_threshold(k: int, n: int) -> None:
         raise ThresholdRangeError(f"threshold {k} outside [1, {n}]")
 
 
-def _coerce_polynomial(
-    secret: Scalar,
-    k: int,
-    polynomial: Union[SharingPolynomial, Sequence[int], None],
-    rng: Optional[random.Random],
-) -> SharingPolynomial:
-    if polynomial is None:
-        return SharingPolynomial.random(secret, k, rng)
-    if not isinstance(polynomial, SharingPolynomial):
-        group = secret.group
-        polynomial = SharingPolynomial(tuple(group.scalar(c) for c in polynomial))
-    if polynomial.secret != secret or polynomial.threshold != k:
-        raise ValueError("injected polynomial does not match (secret, k)")
-    return polynomial
-
-
 def split(
     secret: Scalar,
     k: int,
@@ -127,11 +111,17 @@ def split(
     """
     xs = _check_ids(ids)
     _check_threshold(k, len(xs))
-    poly = _coerce_polynomial(secret, k, polynomial, rng)
+    if polynomial is None:
+        polynomial = SharingPolynomial.random(secret, k, rng)
+    else:
+        if not isinstance(polynomial, SharingPolynomial):
+            polynomial = SharingPolynomial(tuple(secret.group.scalar(c) for c in polynomial))
+        if polynomial.secret != secret or polynomial.threshold != k:
+            raise ValueError("injected polynomial does not match (secret, k)")
     group = ids[0].group
-    poly.secret._coerce(ids[0])  # ValueError unless the ids are of the polynomial's group
+    polynomial.secret._coerce(ids[0])  # ValueError unless the ids are of the polynomial's group
     q = group.q
-    coefficients = [c.value for c in poly.coefficients]
+    coefficients = [c.value for c in polynomial.coefficients]
     return [
         Share(u=u, v=Scalar(sum(map(mul, coefficients, row)) % q, group))
         for u, row in zip(ids, _powers(group, xs, k))

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from . import group as _group
 from .directed import respond
 from .group import GroupElement, KeyPair, Scalar, SchnorrGroup
 from .hashing import DEFAULT_HASH, HashFunction
@@ -88,7 +89,7 @@ def encrypt_to_group(
     over the ciphertext under the encryption tag (s = k1 + x*h(g^k1, c)),
     which the quorum can check before decrypting.
     """
-    rng = rng or random.SystemRandom()
+    rng = rng or _group._sysrand
     k1, w, commitment, masked = _deal_masked_shares(group, directory, k, rng, nonces, polynomial)
     key = h.hash_to_key(commitment)
     cipher_nonce = rng.getrandbits(8 * _NONCE_BYTES).to_bytes(_NONCE_BYTES, "big")

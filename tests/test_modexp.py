@@ -16,6 +16,7 @@ import random
 from collections import Counter
 
 import pytest
+from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.primitives.asymmetric import dsa
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,7 +34,9 @@ from dirsig.group import (
     SchnorrGroup,
     _der,
     _der_int,
+    _held,
     _modexp,
+    _private_key,
     generate_group,
     is_probable_prime,
     keygen,
@@ -130,6 +133,48 @@ def test_kernel_equals_pow_on_random_odd_moduli(n, base, e):
 def test_inputs_outside_the_kernel_take_builtin_pow(loads, base, e, n):
     assert _modexp(base, e, n) == pow(base, e, n)
     assert loads["tried"] == 0
+
+
+@pytest.mark.parametrize(
+    "n, e",
+    [(1 << 511, 5), ((1 << 510) | 1, 5), ((1 << 10000) | 1, 5), (None, -1)],
+    ids=["even-512-bit", "511-bit", "10001-bit", "negative-exponent"],
+)
+def test_the_gate_loads_no_key_outside_the_kernel(big_group, loads, n, e):
+    """`_private_key` alone decides which powers OpenSSL raises: None, before any load."""
+    n = big_group.p if n is None else n
+    assert _private_key(n, 3, e) is None
+    assert _private_key(n, 3, e, public=True) is None
+    assert loads["tried"] == 0
+
+
+@pytest.mark.parametrize("error", [ValueError, UnsupportedAlgorithm], ids=lambda c: c.__name__)
+def test_the_gate_turns_a_refused_key_into_none(big_group, monkeypatch, error):
+    """A backend or policy that refuses the key leaves `_modexp` builtin pow, `_held` k."""
+    group, e = big_group, big_group.q - 1
+    tried = []
+
+    def refusing_load(der, password):
+        tried.append(der)
+        raise error("refused")
+
+    monkeypatch.setattr(dirsig.group, "load_der_private_key", refusing_load)
+    for public in (False, True):
+        assert _private_key(group.p, group.g, e, public) is None
+        assert _modexp(group.g, e, group.p, public) == pow(group.g, e, group.p)
+    k = group.scalar(e)
+    assert _held(k) is k
+    assert len(tried) == 5
+
+
+def test_the_gate_returns_a_key_whose_value_is_the_power(big_group):
+    group = big_group
+    non_member = next(b for b in range(2, 100) if pow(b, group.q, group.p) != 1)
+    for base in (group.g, non_member):
+        for e in (1, group.q - 1, group.p - 1):
+            for public in (False, True):
+                key = _private_key(group.p, base, e, public)
+                assert key.private_numbers().public_numbers.y == pow(base, e, group.p)
 
 
 @pytest.mark.parametrize("size", ["512/160", "2048/224"])

@@ -317,6 +317,19 @@ def test_keystore_round_trip(tmp_path, toy_group):
         store.load_public(toy_group, "alice")
 
 
+@pytest.mark.parametrize("existing", ["both", "pub"])
+def test_keystore_refuses_to_replace_a_key(tmp_path, toy_keys, existing):
+    """A second save of one name raises before writing, also over a lone NAME.pub."""
+    store = Keystore(tmp_path)
+    store.save_keypair("alice", toy_keys["signer"])
+    if existing == "pub":
+        store.keypair_path("alice").unlink()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(KeystoreError, match="exists"):
+        store.save_keypair("alice", toy_keys["receiver"])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_keystore_rejects_path_tricks(tmp_path):
     store = Keystore(tmp_path)
     for name in ("", "../alice", "a/b", ".hidden"):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import dirsig.group
 from dirsig.group import keygen
 from dirsig.hashing import Sha256Hash
 from dirsig.shamir import ThresholdRangeError
@@ -240,3 +241,23 @@ def test_cipher_nonce_must_be_twelve_bytes(toy_group, length):
             s=ct.s, w=ct.w, nonce=bytes(length), ciphertext=ct.ciphertext,
             masked_shares=ct.masked_shares, threshold=ct.threshold,
         )
+
+
+def test_without_an_rng_encryption_draws_from_the_group_module(
+    toy_group, toy_keys, toy_directory, monkeypatch
+):
+    """Like every other flow, `encrypt_to_group` falls back to `group._sysrand`, read at
+    call time: under one seeded generator, two calls give one ciphertext."""
+
+    def twice(flow):
+        outputs = []
+        for _ in range(2):
+            monkeypatch.setattr(dirsig.group, "_sysrand", random.Random(0x5EED))
+            outputs.append(flow(toy_group, toy_keys["signer"], toy_directory, 2, PLAINTEXT))
+        return outputs
+
+    first, second = twice(sign_for_group)
+    assert first == second
+    first, second = twice(encrypt_to_group)
+    assert (first.nonce, first.ciphertext) == (second.nonce, second.ciphertext)
+    assert first == second

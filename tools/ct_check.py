@@ -7,6 +7,9 @@ A |t| above 4.5 reads as a leak.
 
 - padded: a member raised by `GroupElement.__pow__` to a uniform exponent against one a
   64-bit word short of q, each padded to one count of words; expect |t| < 4.5.
+- held: the same two classes as a dealing's mask power y^k2, a member raised to
+  `_held(group.scalar(e))` by its key's exchange. Each `HeldScalar` is built, its padded key
+  loaded, before the clock starts; expect |t| < 4.5.
 - unpadded: the same two classes on a bare DH load (`_modexp`), whose cost steps with the
   exponent's count of words: the leak the padding closes.
 - control: the DSA framing that public exponents take, a q-sized exponent with 2 bits set
@@ -28,7 +31,7 @@ import random
 import statistics
 import time
 
-from dirsig.group import _modexp
+from dirsig.group import _held, _modexp
 from dirsig.serialize import group_from_dict
 
 THRESHOLD = 4.5  # dudect's bound on |t|
@@ -84,9 +87,13 @@ def main(argv=None) -> int:
     def two_bits():
         return 1 << q.bit_length() - 1 | 1 << rng.randrange(q.bit_length() - 1)
 
+    def held(draw):
+        return lambda: _held(group.scalar(draw()))
+
     member = group.generator ** group.scalar(uniform())
     rows = (
         ("padded", lambda e: member ** e, (uniform, short), "< "),
+        ("held", lambda k: member ** k, (held(uniform), held(short)), "< "),
         ("unpadded", lambda e: _modexp(g, e, p), (uniform, short), ""),
         ("control", lambda e: _modexp(g, e, p, public=True), (uniform, two_bits), "> "),
     )
